@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "advisor/advisor.h"
 
@@ -28,9 +30,268 @@ size_t SnapshotLowerBound(const VersionT& snap, KeyT k) {
 /// "absent"/count-0, which is exactly the semantics of a missing value.
 constexpr uint32_t kAbsentId = std::numeric_limits<uint32_t>::max();
 
-constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+StatementResult Failed(StatementStatus status, std::string error) {
+  StatementResult result;
+  result.status = status;
+  result.error = std::move(error);
+  return result;
+}
+
+template <typename KeyT>
+std::unique_ptr<BasicMaintainedIndex<KeyT>> BuildIndex(
+    const IndexSpec& spec, std::vector<KeyT> keys, bool collect_stats) {
+  std::sort(keys.begin(), keys.end());
+  auto index =
+      std::make_unique<BasicMaintainedIndex<KeyT>>(spec, std::move(keys));
+  if (!index->ok()) {
+    throw std::invalid_argument("index spec off the menu: " +
+                                spec.ToString());
+  }
+  if (collect_stats) index->EnableStats();
+  return index;
+}
+
+// A table kind supplies only what differs between kinds: its probe key and
+// update batch types, the journal list its batches go to, its
+// MaintainedIndex, a reader View pinned to one published version (key
+// operands to probe keys, RANGE bounds to positions, JOIN outer keys to
+// probe keys), the INSERT/DELETE operands, and the writer's Apply and
+// Respec. Session::ExecuteOn and Server::ApplyGroup are written once over
+// these members.
+
+/// 4- and 8-byte integer tables: the statement's keys ARE the probe keys.
+template <typename KeyT, auto kJournalList>
+struct IntTable {
+  using Key = KeyT;
+  using Batch = workload::BasicUpdateBatch<KeyT>;
+  static constexpr auto kJournal = kJournalList;
+
+  std::unique_ptr<BasicMaintainedIndex<KeyT>> index;
+
+  struct View {
+    std::shared_ptr<const typename BasicMaintainedIndex<KeyT>::Version> snap;
+
+    const auto& ids() const { return *snap; }
+    bool Probes(const Statement& stmt, std::vector<KeyT>* out,
+                StatementResult* result) const {
+      return Operands(stmt, out, result);
+    }
+    bool Range(const Statement& stmt, StatementResult* result) const {
+      if (!stmt.bounds_numeric) {
+        *result = Failed(StatementStatus::kBadKey,
+                         "bad bounds '" + stmt.lo_token + "' '" +
+                             stmt.hi_token + "': table '" + stmt.table +
+                             "' holds integer keys");
+        return false;
+      }
+      if (stmt.hi > stmt.lo) {
+        result->range_begin = Position(stmt.lo);
+        result->range_end = Position(stmt.hi);
+      }
+      return true;
+    }
+    /// [lo, hi) stays width-independent: a bound past the table's max key
+    /// clamps to end-of-array instead of erroring, so
+    /// "RANGE t 0 4294967296" covers a whole 32-bit table.
+    size_t Position(uint64_t bound) const {
+      if (bound > std::numeric_limits<KeyT>::max()) return snap->keys().size();
+      return SnapshotLowerBound(*snap, static_cast<KeyT>(bound));
+    }
+    auto JoinKeyMap(const View&) const {
+      return [](KeyT k) { return k; };
+    }
+  };
+  View Read() const { return {index->Snapshot()}; }
+
+  /// Key typing is checked here, at execute time, against the table the
+  /// statement actually names — the grammar itself is width-agnostic.
+  /// Each failure mode gets a distinct message: non-numeric key on an
+  /// integer table vs. a numeric key past the table's width.
+  static bool Operands(const Statement& stmt, std::vector<KeyT>* out,
+                       StatementResult* result) {
+    out->reserve(stmt.keys.size());
+    for (size_t i = 0; i < stmt.keys.size(); ++i) {
+      if (!stmt.keys_numeric[i]) {
+        *result = Failed(StatementStatus::kBadKey,
+                         "bad key '" + stmt.key_tokens[i] + "': table '" +
+                             stmt.table + "' holds integer keys");
+        return false;
+      }
+      if (stmt.keys[i] > std::numeric_limits<KeyT>::max()) {
+        *result = Failed(
+            StatementStatus::kBadKey,
+            "key '" + stmt.key_tokens[i] + "' out of range for " +
+                std::to_string(8 * sizeof(KeyT)) + "-bit table '" +
+                stmt.table + "' (max " +
+                std::to_string(std::numeric_limits<KeyT>::max()) + ")");
+        return false;
+      }
+      out->push_back(static_cast<KeyT>(stmt.keys[i]));
+    }
+    return true;
+  }
+
+  void Apply(Batch merged) {
+    std::sort(merged.inserts.begin(), merged.inserts.end());
+    index->ApplySortedBatch(std::move(merged.inserts),
+                            std::move(merged.deletes));
+  }
+  bool Respec(const IndexSpec& spec) { return index->RebuildWithSpec(spec); }
+};
+
+using U32Table = IntTable<uint32_t, &AppliedGroup::batches>;
+using U64Table = IntTable<uint64_t, &AppliedGroup::batches64>;
+
+/// A string table's reader-facing state: the domain dictionary and the
+/// ID-index version built against it, published TOGETHER. An insert of
+/// a new value grows the domain, which renumbers IDs (order-preserving
+/// dictionaries stay sorted), so a reader pairing an old dictionary
+/// with a new index — or vice versa — would translate predicates into
+/// the wrong ID space. One pointer load yields a coherent pair.
+struct StringVersion {
+  std::shared_ptr<const domain::StringDomain> domain;
+  std::shared_ptr<const MaintainedIndex::Version> ids;
+};
+
+/// One mutex-guarded pointer slot, same discipline (and same TSan
+/// rationale) as MaintainedIndex's version pointer.
+struct StringHead {
+  std::mutex mu;
+  std::shared_ptr<const StringVersion> current;
+};
+
+/// §2.1's string table: the 32-bit path over domain IDs plus the
+/// dictionary codec. Every read goes through the published pair; the bare
+/// ID index is the writer's.
+struct StringTable {
+  using Key = uint32_t;
+  using Batch = StringUpdateBatch;
+  static constexpr auto kJournal = &AppliedGroup::string_batches;
+
+  std::unique_ptr<MaintainedIndex> index;
+  std::unique_ptr<StringHead> head;
+
+  struct View {
+    std::shared_ptr<const StringVersion> pair;
+
+    const MaintainedIndex::Version& ids() const { return *pair->ids; }
+    /// Raw tokens translated through the dictionary; values it has never
+    /// seen probe as kAbsentId (absent / count 0).
+    bool Probes(const Statement& stmt, std::vector<uint32_t>* out,
+                StatementResult*) const {
+      out->reserve(stmt.key_tokens.size());
+      for (const std::string& token : stmt.key_tokens) {
+        out->push_back(pair->domain->Encode(token).value_or(kAbsentId));
+      }
+      return true;
+    }
+    /// The ID image of a string range predicate (§2.1: IDs are
+    /// order-preserving): [lo, hi) over values becomes
+    /// [LowerBoundId(lo), LowerBoundId(hi)) over IDs.
+    bool Range(const Statement& stmt, StatementResult* result) const {
+      const uint32_t lo = pair->domain->LowerBoundId(stmt.lo_token);
+      const uint32_t hi = pair->domain->LowerBoundId(stmt.hi_token);
+      if (hi > lo) {
+        result->range_begin = SnapshotLowerBound(ids(), lo);
+        result->range_end = SnapshotLowerBound(ids(), hi);
+      }
+      return true;
+    }
+    /// Two string tables have two dictionaries, so IDs don't line up.
+    /// Translate once — outer ID -> value -> inner ID (absent values get
+    /// kAbsentId, count 0) — then join on inner IDs.
+    auto JoinKeyMap(const View& outer) const {
+      const domain::StringDomain& outer_dom = *outer.pair->domain;
+      std::vector<uint32_t> translate(outer_dom.size());
+      for (uint32_t i = 0; i < translate.size(); ++i) {
+        translate[i] =
+            pair->domain->Encode(outer_dom.Decode(i)).value_or(kAbsentId);
+      }
+      return [translate = std::move(translate)](uint32_t id) {
+        return translate[id];
+      };
+    }
+  };
+  View Read() const {
+    std::lock_guard<std::mutex> lock(head->mu);
+    return {head->current};
+  }
+
+  static bool Operands(const Statement& stmt, std::vector<std::string>* out,
+                       StatementResult*) {
+    *out = stmt.key_tokens;
+    return true;
+  }
+
+  void Apply(Batch merged) {
+    std::shared_ptr<const domain::StringDomain> dom = Read().pair->domain;
+    // Inserts of values the dictionary has never seen force a dictionary
+    // rebuild (§2.1's batch-update model). Deletes never grow the domain:
+    // a value absent from the dictionary has no rows, so its delete is a
+    // no-op and is dropped at encode.
+    std::vector<std::string> fresh_values;
+    for (const std::string& v : merged.inserts) {
+      if (!dom->Encode(v)) fresh_values.push_back(v);
+    }
+    std::vector<uint32_t> remap;
+    if (!fresh_values.empty()) {
+      auto grown = std::make_shared<domain::StringDomain>(*dom);
+      remap = grown->AddBatch(fresh_values);
+      dom = std::move(grown);
+    }
+    std::vector<uint32_t> insert_ids, delete_ids;
+    insert_ids.reserve(merged.inserts.size());
+    for (const std::string& v : merged.inserts) {
+      insert_ids.push_back(*dom->Encode(v));
+    }
+    for (const std::string& v : merged.deletes) {
+      if (std::optional<uint32_t> id = dom->Encode(v)) {
+        delete_ids.push_back(*id);
+      }
+    }
+    std::sort(insert_ids.begin(), insert_ids.end());
+    std::sort(delete_ids.begin(), delete_ids.end());
+    if (fresh_values.empty()) {
+      // Every value already had an ID: apply like any integer batch
+      // (shard-incremental for part:K specs).
+      index->ApplySortedBatch(std::move(insert_ids), std::move(delete_ids));
+    } else {
+      // The remap is strictly increasing (the dictionary is
+      // order-preserving), so the remapped snapshot keys are still sorted
+      // and feed straight into the sorted-batch merge; the ID index is
+      // rebuilt over the result — renumbering invalidates every shard
+      // anyway, so there is nothing incremental to salvage.
+      std::shared_ptr<const MaintainedIndex::Version> snap = index->Snapshot();
+      std::vector<uint32_t> remapped;
+      remapped.reserve(snap->keys().size());
+      for (uint32_t id : snap->keys()) remapped.push_back(remap[id]);
+      index->Rebuild(
+          workload::ApplySortedBatch(remapped, insert_ids, delete_ids));
+    }
+    Publish(std::move(dom));
+  }
+  bool Respec(const IndexSpec& spec) {
+    // The dictionary is untouched (IDs don't renumber), but the pair must
+    // republish together so readers see the swap as one version step.
+    if (!index->RebuildWithSpec(spec)) return false;
+    Publish(Read().pair->domain);
+    return true;
+  }
+  /// Publishes the (dictionary, ID-index) pair atomically — readers must
+  /// never translate against one generation and probe the other.
+  void Publish(std::shared_ptr<const domain::StringDomain> dom) {
+    auto pair = std::make_shared<const StringVersion>(
+        StringVersion{std::move(dom), index->Snapshot()});
+    std::lock_guard<std::mutex> lock(head->mu);
+    head->current = std::move(pair);
+  }
+};
 
 }  // namespace
+
+struct Server::TableEntry {
+  std::variant<U32Table, U64Table, StringTable> kind;
+};
 
 Server::Server() : Server(Options()) {}
 
@@ -40,67 +301,45 @@ Server::Server(const Options& options)
 
 Server::~Server() { Stop(); }
 
-uint32_t Server::CreateTable(const std::string& name,
-                             std::vector<uint32_t> keys,
-                             const IndexSpec& spec) {
+void Server::CheckNewTable(const char* method, const std::string& name) const {
   if (started_) {
-    throw std::logic_error("CreateTable after Start: the table set is "
-                           "immutable once the server is running");
+    throw std::logic_error(std::string(method) +
+                           " after Start: the table set is immutable once "
+                           "the server is running");
   }
   if (table_ids_.count(name) != 0) {
     throw std::invalid_argument("duplicate table name " + name);
   }
-  std::sort(keys.begin(), keys.end());
-  auto index = std::make_unique<MaintainedIndex>(spec, std::move(keys));
-  if (!index->ok()) {
-    throw std::invalid_argument("index spec off the menu: " +
-                                spec.ToString());
-  }
-  if (options_.collect_stats) index->EnableStats();
-  const uint32_t id = static_cast<uint32_t>(tables_.size());
-  tables_.push_back(TableEntry{name, TableKind::kU32, std::move(index)});
-  table_ids_[name] = id;
-  return id;
 }
 
-uint32_t Server::CreateTable64(const std::string& name,
-                               std::vector<uint64_t> keys,
-                               const IndexSpec& spec) {
-  if (started_) {
-    throw std::logic_error("CreateTable64 after Start: the table set is "
-                           "immutable once the server is running");
-  }
-  if (table_ids_.count(name) != 0) {
-    throw std::invalid_argument("duplicate table name " + name);
-  }
-  std::sort(keys.begin(), keys.end());
-  auto index = std::make_unique<MaintainedIndex64>(spec.WithKeyWidth(8),
-                                                   std::move(keys));
-  if (!index->ok()) {
-    throw std::invalid_argument("index spec off the menu: " +
-                                spec.ToString());
-  }
-  if (options_.collect_stats) index->EnableStats();
+uint32_t Server::AddTable(const std::string& name, TableEntry entry) {
   const uint32_t id = static_cast<uint32_t>(tables_.size());
-  TableEntry entry;
-  entry.name = name;
-  entry.kind = TableKind::kU64;
-  entry.index64 = std::move(index);
   tables_.push_back(std::move(entry));
   table_ids_[name] = id;
   return id;
 }
 
+uint32_t Server::CreateTable(const std::string& name,
+                             std::vector<uint32_t> keys,
+                             const IndexSpec& spec) {
+  CheckNewTable("CreateTable", name);
+  return AddTable(name, {U32Table{BuildIndex(spec, std::move(keys),
+                                             options_.collect_stats)}});
+}
+
+uint32_t Server::CreateTable64(const std::string& name,
+                               std::vector<uint64_t> keys,
+                               const IndexSpec& spec) {
+  CheckNewTable("CreateTable64", name);
+  return AddTable(name, {U64Table{BuildIndex(spec.WithKeyWidth(8),
+                                             std::move(keys),
+                                             options_.collect_stats)}});
+}
+
 uint32_t Server::CreateStringTable(const std::string& name,
                                    std::vector<std::string> values,
                                    const IndexSpec& spec) {
-  if (started_) {
-    throw std::logic_error("CreateStringTable after Start: the table set "
-                           "is immutable once the server is running");
-  }
-  if (table_ids_.count(name) != 0) {
-    throw std::invalid_argument("duplicate table name " + name);
-  }
+  CheckNewTable("CreateStringTable", name);
   // The dictionary stores each distinct value once; the key column keeps
   // every occurrence, encoded (one domain lookup per cell — §2.1's load
   // path, and the workload CSS-trees were built for).
@@ -109,25 +348,11 @@ uint32_t Server::CreateStringTable(const std::string& name,
   std::vector<uint32_t> ids;
   ids.reserve(values.size());
   for (const std::string& v : values) ids.push_back(*dom->Encode(v));
-  std::sort(ids.begin(), ids.end());
-  auto index =
-      std::make_unique<MaintainedIndex>(spec.WithKeyWidth(4), std::move(ids));
-  if (!index->ok()) {
-    throw std::invalid_argument("index spec off the menu: " +
-                                spec.ToString());
-  }
-  if (options_.collect_stats) index->EnableStats();
-  const uint32_t id = static_cast<uint32_t>(tables_.size());
-  TableEntry entry;
-  entry.name = name;
-  entry.kind = TableKind::kString;
-  entry.index = std::move(index);
-  entry.strings = std::make_unique<StringHead>();
-  entry.strings->current = std::make_shared<const StringVersion>(
-      StringVersion{dom, entry.index->Snapshot()});
-  tables_.push_back(std::move(entry));
-  table_ids_[name] = id;
-  return id;
+  StringTable table{BuildIndex(spec.WithKeyWidth(4), std::move(ids),
+                               options_.collect_stats),
+                    std::make_unique<StringHead>()};
+  table.Publish(std::move(dom));
+  return AddTable(name, {std::move(table)});
 }
 
 void Server::Start() {
@@ -151,52 +376,48 @@ ServerStats Server::writer_stats() const {
 
 std::shared_ptr<const MaintainedIndex::Version> Server::TableSnapshot(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  if (entry->kind == TableKind::kU64) {
-    throw std::out_of_range("table " + name +
-                            " holds 8-byte keys; use TableSnapshot64");
+  const auto& kind = KnownTable(name).kind;
+  if (const auto* table = std::get_if<U32Table>(&kind)) {
+    return table->Read().snap;
   }
-  if (entry->kind == TableKind::kString) {
-    return entry->strings->Snapshot()->ids;
+  if (const auto* table = std::get_if<StringTable>(&kind)) {
+    return table->Read().pair->ids;
   }
-  return entry->index->Snapshot();
+  throw std::out_of_range("table " + name +
+                          " holds 8-byte keys; use TableSnapshot64");
 }
 
 std::shared_ptr<const MaintainedIndex64::Version> Server::TableSnapshot64(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  if (entry->kind != TableKind::kU64) {
-    throw std::out_of_range("table " + name + " does not hold 8-byte keys");
+  if (const auto* table = std::get_if<U64Table>(&KnownTable(name).kind)) {
+    return table->Read().snap;
   }
-  return entry->index64->Snapshot();
+  throw std::out_of_range("table " + name + " does not hold 8-byte keys");
 }
 
 std::shared_ptr<const domain::StringDomain> Server::TableDomain(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  if (entry->kind != TableKind::kString) {
-    throw std::out_of_range("table " + name + " is not a string table");
+  if (const auto* table = std::get_if<StringTable>(&KnownTable(name).kind)) {
+    return table->Read().pair->domain;
   }
-  return entry->strings->Snapshot()->domain;
+  throw std::out_of_range("table " + name + " is not a string table");
 }
 
 const MaintenanceStats& Server::TableMaintenanceStats(
     const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  return entry->kind == TableKind::kU64 ? entry->index64->stats()
-                                        : entry->index->stats();
+  return std::visit(
+      [](const auto& table) -> const MaintenanceStats& {
+        return table.index->stats();
+      },
+      KnownTable(name).kind);
 }
 
 WorkloadProfile Server::TableWorkloadProfile(const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  const std::shared_ptr<ProbeStatsCollector>& collector =
-      entry->kind == TableKind::kU64 ? entry->index64->stats_collector()
-                                     : entry->index->stats_collector();
+  const std::shared_ptr<ProbeStatsCollector>& collector = std::visit(
+      [](const auto& table) -> const std::shared_ptr<ProbeStatsCollector>& {
+        return table.index->stats_collector();
+      },
+      KnownTable(name).kind);
   if (!collector) {
     throw std::logic_error("stats not enabled for table " + name +
                            " (Server::Options::collect_stats)");
@@ -205,15 +426,22 @@ WorkloadProfile Server::TableWorkloadProfile(const std::string& name) const {
 }
 
 const IndexSpec& Server::TableSpec(const std::string& name) const {
-  const TableEntry* entry = FindTable(name);
-  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
-  return entry->kind == TableKind::kU64 ? entry->index64->spec()
-                                        : entry->index->spec();
+  return std::visit(
+      [](const auto& table) -> const IndexSpec& {
+        return table.index->spec();
+      },
+      KnownTable(name).kind);
 }
 
 const Server::TableEntry* Server::FindTable(const std::string& name) const {
   auto it = table_ids_.find(name);
   return it == table_ids_.end() ? nullptr : &tables_[it->second];
+}
+
+const Server::TableEntry& Server::KnownTable(const std::string& name) const {
+  const TableEntry* entry = FindTable(name);
+  if (entry == nullptr) throw std::out_of_range("unknown table " + name);
+  return *entry;
 }
 
 void Server::WriterLoop() {
@@ -234,155 +462,9 @@ void Server::WriterLoop() {
       it->second.push_back(std::move(update));
     }
     for (uint32_t table : order) {
-      std::vector<QueuedUpdate>& updates = groups[table];
-      TableEntry& entry = tables_[table];
-      // Spec-swap requests ride the queue (so they serialize with writes)
-      // but never fold into a Coalesce group: pull them out, apply the
-      // cycle's data first, then the last requested swap — the swap sees
-      // every write that preceded it.
-      std::optional<IndexSpec> respec;
-      std::erase_if(updates, [&](const QueuedUpdate& u) {
-        if (u.respec) respec = u.respec_spec;
-        return u.respec;
-      });
-      if (updates.empty()) {
-        ApplyRespec(entry, table, respec, &delta);
-        continue;
-      }
-      switch (entry.kind) {
-        case TableKind::kU32: {
-          std::vector<workload::UpdateBatch> batches;
-          batches.reserve(updates.size());
-          for (QueuedUpdate& u : updates) batches.push_back(std::move(u.batch));
-          workload::UpdateBatch merged = Coalesce(batches);
-          std::sort(merged.inserts.begin(), merged.inserts.end());
-          delta.keys_inserted += merged.inserts.size();
-          delta.keys_deleted += merged.deletes.size();
-          const uint64_t before = entry.index->sequence();
-          entry.index->ApplySortedBatch(std::move(merged.inserts),
-                                        std::move(merged.deletes));
-          const uint64_t after = entry.index->sequence();
-          if (after != before) ++delta.groups_published;
-          if (options_.journal) {
-            AppliedGroup group;
-            group.table = table;
-            group.sequence = after;
-            group.batches = std::move(batches);
-            journal_.push_back(std::move(group));
-          }
-          break;
-        }
-        case TableKind::kU64: {
-          std::vector<workload::UpdateBatch64> batches;
-          batches.reserve(updates.size());
-          for (QueuedUpdate& u : updates) {
-            batches.push_back(std::move(u.batch64));
-          }
-          workload::UpdateBatch64 merged = Coalesce(batches);
-          std::sort(merged.inserts.begin(), merged.inserts.end());
-          delta.keys_inserted += merged.inserts.size();
-          delta.keys_deleted += merged.deletes.size();
-          const uint64_t before = entry.index64->sequence();
-          entry.index64->ApplySortedBatch(std::move(merged.inserts),
-                                          std::move(merged.deletes));
-          const uint64_t after = entry.index64->sequence();
-          if (after != before) ++delta.groups_published;
-          if (options_.journal) {
-            AppliedGroup group;
-            group.table = table;
-            group.sequence = after;
-            group.batches64 = std::move(batches);
-            journal_.push_back(std::move(group));
-          }
-          break;
-        }
-        case TableKind::kString: {
-          std::vector<StringUpdateBatch> batches;
-          batches.reserve(updates.size());
-          for (QueuedUpdate& u : updates) {
-            batches.push_back(std::move(u.strings));
-          }
-          StringUpdateBatch merged = Coalesce(batches);
-          delta.keys_inserted += merged.inserts.size();
-          delta.keys_deleted += merged.deletes.size();
-          const uint64_t before = entry.index->sequence();
-          std::shared_ptr<const StringVersion> head =
-              entry.strings->Snapshot();
-          std::shared_ptr<const domain::StringDomain> dom = head->domain;
-          // Inserts of values the dictionary has never seen force a
-          // dictionary rebuild (§2.1's batch-update model). Deletes never
-          // grow the domain: a value absent from the dictionary has no
-          // rows, so its delete is a no-op and is dropped at encode.
-          std::vector<std::string> fresh_values;
-          for (const std::string& v : merged.inserts) {
-            if (!dom->Encode(v)) fresh_values.push_back(v);
-          }
-          if (!fresh_values.empty()) {
-            // Grow a copy of the dictionary. The remap is strictly
-            // increasing (the dictionary is order-preserving), so the
-            // remapped snapshot keys are still sorted and feed straight
-            // into the sorted-batch merge; the ID index is rebuilt over
-            // the result — renumbering invalidates every shard anyway,
-            // so there is nothing incremental to salvage.
-            auto grown = std::make_shared<domain::StringDomain>(*dom);
-            const std::vector<uint32_t> remap =
-                grown->AddBatch(fresh_values);
-            std::shared_ptr<const MaintainedIndex::Version> snap =
-                entry.index->Snapshot();
-            std::vector<uint32_t> remapped;
-            remapped.reserve(snap->keys().size());
-            for (uint32_t id : snap->keys()) remapped.push_back(remap[id]);
-            std::vector<uint32_t> insert_ids, delete_ids;
-            insert_ids.reserve(merged.inserts.size());
-            for (const std::string& v : merged.inserts) {
-              insert_ids.push_back(*grown->Encode(v));
-            }
-            for (const std::string& v : merged.deletes) {
-              if (std::optional<uint32_t> id = grown->Encode(v)) {
-                delete_ids.push_back(*id);
-              }
-            }
-            std::sort(insert_ids.begin(), insert_ids.end());
-            std::sort(delete_ids.begin(), delete_ids.end());
-            entry.index->Rebuild(
-                workload::ApplySortedBatch(remapped, insert_ids, delete_ids));
-            dom = std::move(grown);
-          } else {
-            // Every value already has an ID: encode and apply like any
-            // integer batch (shard-incremental for part:K specs).
-            std::vector<uint32_t> insert_ids, delete_ids;
-            insert_ids.reserve(merged.inserts.size());
-            for (const std::string& v : merged.inserts) {
-              insert_ids.push_back(*dom->Encode(v));
-            }
-            for (const std::string& v : merged.deletes) {
-              if (std::optional<uint32_t> id = dom->Encode(v)) {
-                delete_ids.push_back(*id);
-              }
-            }
-            std::sort(insert_ids.begin(), insert_ids.end());
-            std::sort(delete_ids.begin(), delete_ids.end());
-            entry.index->ApplySortedBatch(std::move(insert_ids),
-                                          std::move(delete_ids));
-          }
-          const uint64_t after = entry.index->sequence();
-          if (after != before) ++delta.groups_published;
-          // Publish the (dictionary, ID-index) pair atomically — readers
-          // must never translate against one generation and probe the
-          // other.
-          entry.strings->Publish(std::make_shared<const StringVersion>(
-              StringVersion{std::move(dom), entry.index->Snapshot()}));
-          if (options_.journal) {
-            AppliedGroup group;
-            group.table = table;
-            group.sequence = after;
-            group.string_batches = std::move(batches);
-            journal_.push_back(std::move(group));
-          }
-          break;
-        }
-      }
-      ApplyRespec(entry, table, respec, &delta);
+      std::visit(
+          [&](auto& kind) { ApplyGroup(kind, table, groups[table], &delta); },
+          tables_[table].kind);
     }
     drained.clear();
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -394,44 +476,48 @@ void Server::WriterLoop() {
   }
 }
 
-void Server::ApplyRespec(TableEntry& entry, uint32_t table,
-                         const std::optional<IndexSpec>& respec,
-                         ServerStats* delta) {
-  if (!respec) return;
-  bool swapped = false;
-  uint64_t after = 0;
-  switch (entry.kind) {
-    case TableKind::kU32:
-      swapped = entry.index->RebuildWithSpec(*respec);
-      after = entry.index->sequence();
-      break;
-    case TableKind::kU64:
-      swapped = entry.index64->RebuildWithSpec(*respec);
-      after = entry.index64->sequence();
-      break;
-    case TableKind::kString: {
-      // Respec the ID index; the dictionary is untouched (IDs don't
-      // renumber), but the (dictionary, index) pair must republish
-      // together so readers see the swap as one version step.
-      swapped = entry.index->RebuildWithSpec(*respec);
-      after = entry.index->sequence();
-      if (swapped) {
-        std::shared_ptr<const StringVersion> head = entry.strings->Snapshot();
-        entry.strings->Publish(std::make_shared<const StringVersion>(
-            StringVersion{head->domain, entry.index->Snapshot()}));
-      }
-      break;
+template <typename Table>
+void Server::ApplyGroup(Table& table, uint32_t table_id,
+                        std::vector<QueuedUpdate>& updates,
+                        ServerStats* delta) {
+  // Spec-swap requests ride the queue (so they serialize with writes) but
+  // never fold into a Coalesce group: pull them out, apply the cycle's
+  // data first, then the last requested swap — the swap sees every write
+  // that preceded it.
+  std::vector<typename Table::Batch> batches;
+  std::optional<IndexSpec> respec;
+  for (QueuedUpdate& update : updates) {
+    if (IndexSpec* spec = std::get_if<IndexSpec>(&update.payload)) {
+      respec = *spec;
+    } else {
+      batches.push_back(
+          std::move(std::get<typename Table::Batch>(update.payload)));
     }
   }
-  if (!swapped) return;
-  ++delta->groups_published;
-  if (options_.journal) {
+  // Counts a publish when the table's sequence moved, and journals `group`
+  // as the version the table is at now.
+  uint64_t last = table.index->sequence();
+  auto record = [&](AppliedGroup group) {
+    group.table = table_id;
+    group.sequence = table.index->sequence();
+    if (group.sequence != last) ++delta->groups_published;
+    last = group.sequence;
+    if (options_.journal) journal_.push_back(std::move(group));
+  };
+  if (!batches.empty()) {
+    typename Table::Batch merged = Coalesce(batches);
+    delta->keys_inserted += merged.inserts.size();
+    delta->keys_deleted += merged.deletes.size();
+    table.Apply(std::move(merged));
     AppliedGroup group;
-    group.table = table;
-    group.sequence = after;
+    group.*Table::kJournal = std::move(batches);
+    record(std::move(group));
+  }
+  if (respec && table.Respec(*respec)) {
+    AppliedGroup group;
     group.respec = true;
     group.respec_spec = *respec;
-    journal_.push_back(std::move(group));
+    record(std::move(group));
   }
 }
 
@@ -441,277 +527,97 @@ StatementResult Session::Execute(std::string_view text) {
   std::optional<Statement> stmt = ParseStatement(text, &error);
   if (!stmt) {
     ++stats_.parse_errors;
-    StatementResult result;
-    result.status = StatementStatus::kParseError;
-    result.error = std::move(error);
-    return result;
+    return Failed(StatementStatus::kParseError, std::move(error));
   }
   return ExecuteParsed(*stmt);
 }
 
 StatementResult Session::ExecuteParsed(const Statement& stmt) {
-  using TableKind = Server::TableKind;
-  StatementResult result;
-  const Server::TableEntry* table = server_->FindTable(stmt.table);
-  if (table == nullptr) {
-    result.status = StatementStatus::kUnknownTable;
-    result.error = "unknown table " + stmt.table;
-    return result;
+  const Server::TableEntry* entry = server_->FindTable(stmt.table);
+  if (entry == nullptr) {
+    return Failed(StatementStatus::kUnknownTable,
+                  "unknown table " + stmt.table);
   }
+  const uint32_t table_id =
+      static_cast<uint32_t>(entry - server_->tables_.data());
+  return std::visit(
+      [&](const auto& table) { return ExecuteOn(table, table_id, stmt); },
+      entry->kind);
+}
 
-  // Key typing is checked here, at execute time, against the table the
-  // statement actually names — the grammar itself is width-agnostic.
-  // Each failure mode gets a distinct message: non-numeric key on an
-  // integer table vs. a numeric key past the table's width.
-  auto check_numeric = [&](size_t i, bool wide) {
-    if (!stmt.keys_numeric[i]) {
-      result.status = StatementStatus::kBadKey;
-      result.error = "bad key '" + stmt.key_tokens[i] + "': table '" +
-                     stmt.table + "' holds integer keys";
-      return false;
-    }
-    if (!wide && stmt.keys[i] > kMax32) {
-      result.status = StatementStatus::kBadKey;
-      result.error = "key '" + stmt.key_tokens[i] +
-                     "' out of range for 32-bit table '" + stmt.table +
-                     "' (max 4294967295)";
-      return false;
-    }
-    return true;
-  };
-  auto narrow32 = [&]() -> std::optional<std::vector<uint32_t>> {
-    std::vector<uint32_t> keys(stmt.keys.size());
-    for (size_t i = 0; i < stmt.keys.size(); ++i) {
-      if (!check_numeric(i, /*wide=*/false)) return std::nullopt;
-      keys[i] = static_cast<uint32_t>(stmt.keys[i]);
-    }
-    return keys;
-  };
-  auto check_wide = [&]() {
-    for (size_t i = 0; i < stmt.keys.size(); ++i) {
-      if (!check_numeric(i, /*wide=*/true)) return false;
-    }
-    return true;
-  };
-  // String tables probe on raw tokens translated through the dictionary;
-  // values it has never seen probe as kAbsentId (absent / count 0).
-  auto encode_ids = [&](const domain::StringDomain& dom) {
-    std::vector<uint32_t> ids(stmt.key_tokens.size());
-    for (size_t i = 0; i < stmt.key_tokens.size(); ++i) {
-      ids[i] = dom.Encode(stmt.key_tokens[i]).value_or(kAbsentId);
-    }
-    return ids;
-  };
+template <typename Table>
+StatementResult Session::ExecuteOn(const Table& table, uint32_t table_id,
+                                   const Statement& stmt) {
+  using Key = typename Table::Key;
+  StatementResult result;
   auto bump_probes = [&](uint64_t n) {
     stats_.probes += n;
     server_->probes_served_.fetch_add(n, std::memory_order_relaxed);
   };
 
   switch (stmt.verb) {
-    case Verb::kFind: {
-      result.positions.resize(stmt.keys.size());
-      switch (table->kind) {
-        case TableKind::kU32: {
-          std::optional<std::vector<uint32_t>> keys = narrow32();
-          if (!keys) return result;
-          auto snap = table->index->Snapshot();
-          snap->index().FindBatch(*keys, result.positions);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kU64: {
-          if (!check_wide()) return result;
-          auto snap = table->index64->Snapshot();
-          snap->index().FindBatch(stmt.keys, result.positions);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kString: {
-          auto sv = table->strings->Snapshot();
-          const std::vector<uint32_t> ids = encode_ids(*sv->domain);
-          sv->ids->index().FindBatch(ids, result.positions);
-          result.version = sv->ids->sequence();
-          break;
-        }
-      }
-      bump_probes(stmt.keys.size());
-      return result;
-    }
+    case Verb::kFind:
     case Verb::kCount: {
-      result.counts.resize(stmt.keys.size());
-      switch (table->kind) {
-        case TableKind::kU32: {
-          std::optional<std::vector<uint32_t>> keys = narrow32();
-          if (!keys) return result;
-          auto snap = table->index->Snapshot();
-          snap->index().CountEqualBatch(*keys, result.counts);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kU64: {
-          if (!check_wide()) return result;
-          auto snap = table->index64->Snapshot();
-          snap->index().CountEqualBatch(stmt.keys, result.counts);
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kString: {
-          auto sv = table->strings->Snapshot();
-          const std::vector<uint32_t> ids = encode_ids(*sv->domain);
-          sv->ids->index().CountEqualBatch(ids, result.counts);
-          result.version = sv->ids->sequence();
-          break;
-        }
+      const typename Table::View view = table.Read();
+      std::vector<Key> probes;
+      if (!view.Probes(stmt, &probes, &result)) return result;
+      const auto& ids = view.ids();
+      if (stmt.verb == Verb::kFind) {
+        result.positions.resize(probes.size());
+        ids.index().FindBatch(probes, result.positions);
+      } else {
+        result.counts.resize(probes.size());
+        ids.index().CountEqualBatch(probes, result.counts);
+        for (size_t c : result.counts) result.count += c;
       }
-      for (size_t c : result.counts) result.count += c;
-      bump_probes(stmt.keys.size());
+      result.version = ids.sequence();
+      bump_probes(probes.size());
       return result;
     }
     case Verb::kRange: {
-      if (table->kind != TableKind::kString && !stmt.bounds_numeric) {
-        result.status = StatementStatus::kBadKey;
-        result.error = "bad bounds '" + stmt.lo_token + "' '" +
-                       stmt.hi_token + "': table '" + stmt.table +
-                       "' holds integer keys";
-        return result;
-      }
-      switch (table->kind) {
-        case TableKind::kU32: {
-          auto snap = table->index->Snapshot();
-          // [lo, hi) stays width-independent: a bound past the table's
-          // max key clamps to end-of-array instead of erroring, so
-          // "RANGE t 0 4294967296" covers a whole 32-bit table.
-          const size_t n = snap->keys().size();
-          if (stmt.hi > stmt.lo) {
-            result.range_begin =
-                stmt.lo > kMax32
-                    ? n
-                    : SnapshotLowerBound(*snap,
-                                         static_cast<uint32_t>(stmt.lo));
-            result.range_end =
-                stmt.hi > kMax32
-                    ? n
-                    : SnapshotLowerBound(*snap,
-                                         static_cast<uint32_t>(stmt.hi));
-            result.count = result.range_end - result.range_begin;
-          }
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kU64: {
-          auto snap = table->index64->Snapshot();
-          if (stmt.hi > stmt.lo) {
-            result.range_begin = SnapshotLowerBound(*snap, stmt.lo);
-            result.range_end = SnapshotLowerBound(*snap, stmt.hi);
-            result.count = result.range_end - result.range_begin;
-          }
-          result.version = snap->sequence();
-          break;
-        }
-        case TableKind::kString: {
-          // The ID image of a string range predicate (§2.1: IDs are
-          // order-preserving): [lo, hi) over values becomes
-          // [LowerBoundId(lo), LowerBoundId(hi)) over IDs.
-          auto sv = table->strings->Snapshot();
-          const uint32_t lo_id = sv->domain->LowerBoundId(stmt.lo_token);
-          const uint32_t hi_id = sv->domain->LowerBoundId(stmt.hi_token);
-          if (hi_id > lo_id) {
-            result.range_begin = SnapshotLowerBound(*sv->ids, lo_id);
-            result.range_end = SnapshotLowerBound(*sv->ids, hi_id);
-            result.count = result.range_end - result.range_begin;
-          }
-          result.version = sv->ids->sequence();
-          break;
-        }
-      }
+      const typename Table::View view = table.Read();
+      if (!view.Range(stmt, &result)) return result;
+      result.count = result.range_end - result.range_begin;
+      result.version = view.ids().sequence();
       bump_probes(2);
       return result;
     }
     case Verb::kJoin: {
-      const Server::TableEntry* inner = server_->FindTable(stmt.table2);
-      if (inner == nullptr) {
-        result.status = StatementStatus::kUnknownTable;
-        result.error = "unknown table " + stmt.table2;
-        return result;
+      const Server::TableEntry* other = server_->FindTable(stmt.table2);
+      if (other == nullptr) {
+        return Failed(StatementStatus::kUnknownTable,
+                      "unknown table " + stmt.table2);
       }
-      if (table->kind != inner->kind) {
-        result.status = StatementStatus::kBadKey;
-        result.error = "JOIN requires both tables to hold the same key "
-                       "type: '" +
-                       stmt.table + "' and '" + stmt.table2 + "' differ";
-        return result;
+      const Table* inner_table = std::get_if<Table>(&other->kind);
+      if (inner_table == nullptr) {
+        return Failed(StatementStatus::kBadKey,
+                      "JOIN requires both tables to hold the same key "
+                      "type: '" +
+                          stmt.table + "' and '" + stmt.table2 + "' differ");
       }
       // Both sides pinned to one snapshot each; the outer's sorted keys
       // stream through the inner's CountEqualBatch a block at a time, so
       // the pair cardinality is consistent-as-of (version, version2).
+      const typename Table::View outer = table.Read();
+      const typename Table::View inner = inner_table->Read();
+      const auto to_inner = inner.JoinKeyMap(outer);
+      const std::vector<Key>& outer_keys = outer.ids().keys();
       constexpr size_t kBlock = 4096;
-      switch (table->kind) {
-        case TableKind::kU32: {
-          auto outer_snap = table->index->Snapshot();
-          auto inner_snap = inner->index->Snapshot();
-          const std::vector<uint32_t>& outer_keys = outer_snap->keys();
-          std::vector<size_t> counts(std::min(outer_keys.size(), kBlock));
-          for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-            const size_t len = std::min(outer_keys.size() - base, kBlock);
-            inner_snap->index().CountEqualBatch(
-                std::span<const uint32_t>(&outer_keys[base], len),
-                std::span<size_t>(counts.data(), len));
-            for (size_t i = 0; i < len; ++i) result.count += counts[i];
-          }
-          result.version = outer_snap->sequence();
-          result.version2 = inner_snap->sequence();
-          bump_probes(outer_keys.size());
-          break;
+      std::vector<Key> block(std::min(outer_keys.size(), kBlock));
+      std::vector<size_t> counts(block.size());
+      for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
+        const size_t len = std::min(outer_keys.size() - base, kBlock);
+        for (size_t i = 0; i < len; ++i) {
+          block[i] = to_inner(outer_keys[base + i]);
         }
-        case TableKind::kU64: {
-          auto outer_snap = table->index64->Snapshot();
-          auto inner_snap = inner->index64->Snapshot();
-          const std::vector<uint64_t>& outer_keys = outer_snap->keys();
-          std::vector<size_t> counts(std::min(outer_keys.size(), kBlock));
-          for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-            const size_t len = std::min(outer_keys.size() - base, kBlock);
-            inner_snap->index().CountEqualBatch(
-                std::span<const uint64_t>(&outer_keys[base], len),
-                std::span<size_t>(counts.data(), len));
-            for (size_t i = 0; i < len; ++i) result.count += counts[i];
-          }
-          result.version = outer_snap->sequence();
-          result.version2 = inner_snap->sequence();
-          bump_probes(outer_keys.size());
-          break;
-        }
-        case TableKind::kString: {
-          // Two string tables have two dictionaries, so IDs don't line
-          // up. Translate once — outer ID -> value -> inner ID (absent
-          // values get kAbsentId, count 0) — then join on inner IDs.
-          auto outer_sv = table->strings->Snapshot();
-          auto inner_sv = inner->strings->Snapshot();
-          const domain::StringDomain& outer_dom = *outer_sv->domain;
-          const domain::StringDomain& inner_dom = *inner_sv->domain;
-          std::vector<uint32_t> translate(outer_dom.size());
-          for (uint32_t i = 0; i < translate.size(); ++i) {
-            translate[i] =
-                inner_dom.Encode(outer_dom.Decode(i)).value_or(kAbsentId);
-          }
-          const std::vector<uint32_t>& outer_keys = outer_sv->ids->keys();
-          std::vector<uint32_t> block(std::min(outer_keys.size(), kBlock));
-          std::vector<size_t> counts(block.size());
-          for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-            const size_t len = std::min(outer_keys.size() - base, kBlock);
-            for (size_t i = 0; i < len; ++i) {
-              block[i] = translate[outer_keys[base + i]];
-            }
-            inner_sv->ids->index().CountEqualBatch(
-                std::span<const uint32_t>(block.data(), len),
-                std::span<size_t>(counts.data(), len));
-            for (size_t i = 0; i < len; ++i) result.count += counts[i];
-          }
-          result.version = outer_sv->ids->sequence();
-          result.version2 = inner_sv->ids->sequence();
-          bump_probes(outer_keys.size());
-          break;
-        }
+        inner.ids().index().CountEqualBatch(
+            std::span<const Key>(block.data(), len),
+            std::span<size_t>(counts.data(), len));
+        for (size_t i = 0; i < len; ++i) result.count += counts[i];
       }
+      result.version = outer.ids().sequence();
+      result.version2 = inner.ids().sequence();
+      bump_probes(outer_keys.size());
       return result;
     }
     case Verb::kAdvise: {
@@ -719,106 +625,63 @@ StatementResult Session::ExecuteParsed(const Statement& stmt) {
       // on their ID index — same probes, same mix). Model-only here: the
       // writer, not the session, pays any rebuild.
       const std::shared_ptr<ProbeStatsCollector>& collector =
-          table->kind == TableKind::kU64 ? table->index64->stats_collector()
-                                         : table->index->stats_collector();
+          table.index->stats_collector();
       if (!collector) {
-        result.status = StatementStatus::kUnsupported;
-        result.error =
-            "ADVISE needs stats collection (Server::Options::collect_stats)";
-        return result;
+        return Failed(
+            StatementStatus::kUnsupported,
+            "ADVISE needs stats collection (Server::Options::collect_stats)");
       }
+      const typename Table::View view = table.Read();
       advisor::AdvisorOptions opts;
       opts.space_budget_bytes = server_->options_.advise_space_budget_bytes;
-      opts.key_width = table->kind == TableKind::kU64 ? 8 : 4;
-      size_t n = 0;
-      if (table->kind == TableKind::kU64) {
-        auto snap = table->index64->Snapshot();
-        n = snap->keys().size();
-        result.version = snap->sequence();
-      } else {
-        auto snap = table->index->Snapshot();
-        n = snap->keys().size();
-        result.version = snap->sequence();
-      }
-      advisor::Recommendation rec =
-          advisor::Advise(collector->Profile(), n, opts);
-      if (!rec.ok) {
-        result.status = StatementStatus::kUnsupported;
-        result.error = rec.error;
-        return result;
-      }
+      opts.key_width = sizeof(Key);
+      advisor::Recommendation rec = advisor::Advise(
+          collector->Profile(), view.ids().keys().size(), opts);
+      if (!rec.ok) return Failed(StatementStatus::kUnsupported, rec.error);
+      result.version = view.ids().sequence();
       result.advice = rec.rationale;
       result.recommended_spec = rec.spec.ToString();
       if (!stmt.apply) return result;
       if (!server_->options_.allow_spec_swap) {
-        result.status = StatementStatus::kUnsupported;
-        result.error = "ADVISE APPLY needs Server::Options::allow_spec_swap";
-        return result;
+        return Failed(StatementStatus::kUnsupported,
+                      "ADVISE APPLY needs Server::Options::allow_spec_swap");
       }
-      QueuedUpdate update;
-      update.table = static_cast<uint32_t>(table - server_->tables_.data());
-      update.respec = true;
-      update.respec_spec = rec.spec;
-      switch (server_->queue_.Push(std::move(update))) {
-        case UpdateQueue::PushResult::kOk:
-          ++stats_.writes_enqueued;
-          result.applied = true;
-          return result;
-        case UpdateQueue::PushResult::kRejected:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kRejected;
-          result.error = "queue full";
-          return result;
-        case UpdateQueue::PushResult::kClosed:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kClosed;
-          result.error = "server stopped";
-          return result;
-      }
-      return result;  // unreachable
+      result = Enqueue(QueuedUpdate{table_id, rec.spec}, std::move(result));
+      result.applied = result.ok();
+      return result;
     }
     case Verb::kInsert:
     case Verb::kDelete: {
-      QueuedUpdate update;
-      update.table = static_cast<uint32_t>(table - server_->tables_.data());
-      const bool insert = stmt.verb == Verb::kInsert;
-      switch (table->kind) {
-        case TableKind::kU32: {
-          std::optional<std::vector<uint32_t>> keys = narrow32();
-          if (!keys) return result;
-          (insert ? update.batch.inserts : update.batch.deletes) =
-              std::move(*keys);
-          break;
-        }
-        case TableKind::kU64: {
-          if (!check_wide()) return result;
-          (insert ? update.batch64.inserts : update.batch64.deletes) =
-              stmt.keys;
-          break;
-        }
-        case TableKind::kString: {
-          (insert ? update.strings.inserts : update.strings.deletes) =
-              stmt.key_tokens;
-          break;
-        }
+      typename Table::Batch batch;
+      if (!Table::Operands(stmt,
+                           stmt.verb == Verb::kInsert ? &batch.inserts
+                                                      : &batch.deletes,
+                           &result)) {
+        return result;
       }
-      switch (server_->queue_.Push(std::move(update))) {
-        case UpdateQueue::PushResult::kOk:
-          ++stats_.writes_enqueued;
-          return result;
-        case UpdateQueue::PushResult::kRejected:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kRejected;
-          result.error = "queue full";
-          return result;
-        case UpdateQueue::PushResult::kClosed:
-          ++stats_.writes_rejected;
-          result.status = StatementStatus::kClosed;
-          result.error = "server stopped";
-          return result;
-      }
-      return result;  // unreachable
+      return Enqueue(QueuedUpdate{table_id, std::move(batch)},
+                     std::move(result));
     }
+  }
+  return result;  // unreachable
+}
+
+StatementResult Session::Enqueue(QueuedUpdate update,
+                                 StatementResult result) {
+  switch (server_->queue_.Push(std::move(update))) {
+    case UpdateQueue::PushResult::kOk:
+      ++stats_.writes_enqueued;
+      return result;
+    case UpdateQueue::PushResult::kRejected:
+      ++stats_.writes_rejected;
+      result.status = StatementStatus::kRejected;
+      result.error = "queue full";
+      return result;
+    case UpdateQueue::PushResult::kClosed:
+      ++stats_.writes_rejected;
+      result.status = StatementStatus::kClosed;
+      result.error = "server stopped";
+      return result;
   }
   return result;  // unreachable
 }

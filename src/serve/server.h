@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -57,8 +56,9 @@ struct ServerStats {
 /// group's publish, table `table` is at version `sequence`, and its state
 /// equals the initial keys plus every batch journaled for it so far,
 /// applied in order. Read only after Stop() — the join synchronizes.
-/// Exactly one of the three batch lists is populated, matching the
-/// table's key type.
+/// The writer appends one entry per table per drain cycle for its data
+/// (only the list of that table's kind is filled — the same batches the
+/// queue carried, before coalescing), plus one per applied spec swap.
 struct AppliedGroup {
   uint32_t table = 0;
   uint64_t sequence = 0;
@@ -199,53 +199,28 @@ class Server {
  private:
   friend class Session;
 
-  enum class TableKind { kU32, kU64, kString };
-
-  /// A string table's reader-facing state: the domain dictionary and the
-  /// ID-index version built against it, published TOGETHER. An insert of
-  /// a new value grows the domain, which renumbers IDs (order-preserving
-  /// dictionaries stay sorted), so a reader pairing an old dictionary
-  /// with a new index — or vice versa — would translate predicates into
-  /// the wrong ID space. One pointer load yields a coherent pair.
-  struct StringVersion {
-    std::shared_ptr<const domain::StringDomain> domain;
-    std::shared_ptr<const MaintainedIndex::Version> ids;
-  };
-
-  /// One mutex-guarded pointer slot, same discipline (and same TSan
-  /// rationale) as MaintainedIndex's version pointer.
-  struct StringHead {
-    mutable std::mutex mu;
-    std::shared_ptr<const StringVersion> current;
-
-    std::shared_ptr<const StringVersion> Snapshot() const {
-      std::lock_guard<std::mutex> lock(mu);
-      return current;
-    }
-    void Publish(std::shared_ptr<const StringVersion> fresh) {
-      std::lock_guard<std::mutex> lock(mu);
-      current = std::move(fresh);
-    }
-  };
-
-  struct TableEntry {
-    std::string name;
-    TableKind kind = TableKind::kU32;
-    std::unique_ptr<MaintainedIndex> index;      // kU32; kString: over IDs
-    std::unique_ptr<MaintainedIndex64> index64;  // kU64
-    std::unique_ptr<StringHead> strings;         // kString
-  };
+  /// One table of any kind (32-bit, 64-bit or string keys); defined in
+  /// server.cc, where every verb and the writer are written once over it.
+  struct TableEntry;
 
   /// nullptr when the name is unknown. Safe lock-free: tables_ is
   /// immutable after Start().
   const TableEntry* FindTable(const std::string& name) const;
+  /// FindTable for the introspection accessors: throws std::out_of_range
+  /// on an unknown name.
+  const TableEntry& KnownTable(const std::string& name) const;
+  /// Throws unless a table named `name` may still be created; `method`
+  /// names the caller in the message.
+  void CheckNewTable(const char* method, const std::string& name) const;
+  uint32_t AddTable(const std::string& name, TableEntry entry);
 
   void WriterLoop();
-  /// Writer thread: applies a pending spec swap to one table (no-op when
-  /// `respec` is empty or off-menu), publishing one fresh version and one
-  /// journal marker.
-  void ApplyRespec(TableEntry& entry, uint32_t table,
-                   const std::optional<IndexSpec>& respec, ServerStats* delta);
+  /// Writer thread: applies one table's share of a drained backlog — its
+  /// data batches coalesced into one publish, then the last spec swap
+  /// requested in the cycle, if any — and journals each publish.
+  template <typename Table>
+  void ApplyGroup(Table& table, uint32_t table_id,
+                  std::vector<QueuedUpdate>& updates, ServerStats* delta);
 
   const Options options_;
   UpdateQueue queue_;
@@ -284,6 +259,13 @@ class Session {
   explicit Session(Server* server) : server_(server) {}
 
   StatementResult ExecuteParsed(const Statement& stmt);
+  /// Every verb, written once over a table kind's reader view.
+  template <typename Table>
+  StatementResult ExecuteOn(const Table& table, uint32_t table_id,
+                            const Statement& stmt);
+  /// Pushes a write or spec swap; a full or closed queue turns `result`
+  /// into kRejected / kClosed.
+  StatementResult Enqueue(QueuedUpdate update, StatementResult result);
 
   Server* server_;
   SessionStats stats_;

@@ -22,10 +22,14 @@ UpdateQueue::PushResult UpdateQueue::Push(QueuedUpdate update) {
     if (closed_) return PushResult::kClosed;
   }
   ++stats_.enqueued_batches;
-  stats_.enqueued_keys +=
-      update.batch.inserts.size() + update.batch.deletes.size() +
-      update.batch64.inserts.size() + update.batch64.deletes.size() +
-      update.strings.inserts.size() + update.strings.deletes.size();
+  stats_.enqueued_keys += std::visit(
+      [](const auto& payload) -> size_t {
+        if constexpr (requires { payload.inserts; }) {
+          return payload.inserts.size() + payload.deletes.size();
+        }
+        return 0;  // a spec swap carries no keys
+      },
+      update.payload);
   queue_.push_back(std::move(update));
   stats_.depth_high_water = std::max(stats_.depth_high_water, queue_.size());
   not_empty_.notify_one();

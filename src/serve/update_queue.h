@@ -9,6 +9,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/index_spec.h"
@@ -48,23 +49,19 @@ struct QueueStats {
 /// lifecycle as the integer batches, values instead of keys.
 using StringUpdateBatch = workload::BasicUpdateBatch<std::string>;
 
-/// One queued write: an update batch destined for one table (the server's
+/// One queued write: a payload destined for one table (the server's
 /// table id — the queue itself doesn't interpret it, it is the coalescing
-/// group key). Exactly one of the three batch members is populated,
-/// matching the destination table's key type; the queue moves whichever
-/// is there.
+/// group key). The payload is an update batch of the destination table's
+/// key type, or a spec hot-swap request (ADVISE ... APPLY). A swap rides
+/// the same queue so it serializes with writes in arrival order, but is
+/// never folded into a Coalesce group — the writer splits it out and
+/// rebuilds through MaintainedIndex::RebuildWithSpec after the cycle's
+/// data batches.
 struct QueuedUpdate {
   uint32_t table = 0;
-  workload::UpdateBatch batch;      // 4-byte integer tables
-  workload::UpdateBatch64 batch64;  // 8-byte integer tables
-  StringUpdateBatch strings;        // string (domain-ID) tables
-  /// A spec hot-swap request (ADVISE ... APPLY) instead of data. Rides
-  /// the same queue so it serializes with writes in arrival order, but
-  /// is never folded into a Coalesce group — the writer splits these out
-  /// and rebuilds through MaintainedIndex::RebuildWithSpec after the
-  /// cycle's data batches.
-  bool respec = false;
-  IndexSpec respec_spec;
+  std::variant<workload::UpdateBatch, workload::UpdateBatch64,
+               StringUpdateBatch, IndexSpec>
+      payload;
 };
 
 class UpdateQueue {
