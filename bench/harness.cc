@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/simd_node_search.h"
+#include "util/thread_pool.h"
+
 namespace cssidx::bench {
 
 volatile uint64_t g_sink = 0;
@@ -43,6 +46,16 @@ std::string Table::Bytes(double bytes) {
   return buf;
 }
 
+std::string Table::Fixed(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
+std::string Table::Quote(const std::string& text) {
+  return "\"" + text + "\"";
+}
+
 void Table::Print(const std::string& title) const {
   std::vector<size_t> widths(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) widths[c] = columns_[c].size();
@@ -80,6 +93,56 @@ void Table::Print(const std::string& title) const {
   }
   std::printf("%s", csv.str().c_str());
   std::fflush(stdout);
+}
+
+JsonReport::JsonReport(const std::string& bench) {
+  Param("bench", Table::Quote(bench));
+}
+
+void JsonReport::Param(const std::string& name, const std::string& value) {
+  header_.emplace_back(name, value);
+}
+
+void JsonReport::Block(const std::string& name, Table rows) {
+  blocks_.emplace_back(name, std::move(rows));
+}
+
+bool JsonReport::Write(const std::string& path) const {
+  std::FILE* json = std::fopen(path.c_str(), "w");
+  if (json == nullptr) {
+    std::printf("cannot write %s\n", path.c_str());
+    return false;
+  }
+  auto header = header_;
+  header.emplace_back("hardware_threads",
+                      std::to_string(ThreadPool::HardwareThreads()));
+  header.emplace_back(
+      "node_search_path",
+      Table::Quote(NodeSearchPathName(DetectedNodeSearchPath())));
+  std::fprintf(json, "{");
+  const char* sep = "\n";
+  for (const auto& [name, value] : header) {
+    std::fprintf(json, "%s  \"%s\": %s", sep, name.c_str(), value.c_str());
+    sep = ",\n";
+  }
+  for (const auto& [name, rows] : blocks_) {
+    std::fprintf(json, "%s  \"%s\": [", sep, name.c_str());
+    const char* row_sep = "\n";
+    for (const auto& row : rows.rows()) {
+      std::fprintf(json, "%s    {", row_sep);
+      for (size_t c = 0; c < row.size(); ++c) {
+        std::fprintf(json, "%s\"%s\": %s", c == 0 ? "" : ", ",
+                     rows.columns()[c].c_str(), row[c].c_str());
+      }
+      std::fprintf(json, "}");
+      row_sep = ",\n";
+    }
+    std::fprintf(json, "\n  ]");
+  }
+  std::fprintf(json, "\n}\n");
+  std::fclose(json);
+  std::printf("\nwrote %s\n", path.c_str());
+  return true;
 }
 
 void PrintHeader(const std::string& figure, const std::string& description,

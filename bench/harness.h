@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/any_index.h"
@@ -175,7 +176,9 @@ BatchTiming MinFindBatchTiming(const IndexT& index,
 
 /// Fixed-width text table writer that prints both a human-readable table
 /// and machine-readable CSV (prefixed "csv,") so EXPERIMENTS.md and plots
-/// can be produced from the same run.
+/// can be produced from the same run. A Table is also the row type of a
+/// JsonReport block: there the columns are JSON field names and every cell
+/// is a JSON literal (Quote a string, Fixed a number).
 class Table {
  public:
   explicit Table(std::vector<std::string> columns);
@@ -186,10 +189,39 @@ class Table {
 
   static std::string Num(double v, int precision = 4);
   static std::string Bytes(double bytes);
+  /// Fixed-point text ("%.*f"), the number format of JSON reports.
+  static std::string Fixed(double v, int decimals);
+  /// A JSON string literal; bench identifiers need no escaping.
+  static std::string Quote(const std::string& text);
+
+  const std::vector<std::string>& columns() const { return columns_; }
+  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
  private:
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// The machine-readable output every gated bench writes: a header (the
+/// bench name, its run parameters, then hardware_threads and
+/// node_search_path) followed by named blocks of flat rows.
+/// tools/check_bench_regression.py selects rows by block and field and
+/// applies the gates listed in tools/bench_gates.json.
+class JsonReport {
+ public:
+  explicit JsonReport(const std::string& bench);
+
+  /// Adds a run parameter to the header; `value` is a JSON literal.
+  void Param(const std::string& name, const std::string& value);
+  /// Appends block `name`, one JSON object per row of `rows`.
+  void Block(const std::string& name, Table rows);
+  /// Writes the report to `path`. Returns false, after saying so on
+  /// stdout, when the file cannot be written.
+  bool Write(const std::string& path) const;
+
+ private:
+  std::vector<std::pair<std::string, std::string>> header_;
+  std::vector<std::pair<std::string, Table>> blocks_;
 };
 
 /// Prints the standard bench header (what figure, what parameters).

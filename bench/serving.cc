@@ -12,11 +12,13 @@
 //
 // Reported per scenario: reader throughput (Mprobes/s), per-statement
 // p50/p99 latency, and the writer-side coalescing counters. The JSON's
-// "serving" block is gated by tools/check_bench_regression.py on
-// COALESCING EFFICIENCY (groups_published / enqueued_batches under
-// pressure), not absolute throughput — the machine-transferable
-// invariant (hardware_threads is recorded so a future multi-core gate
-// can condition on it).
+// "serving" block is gated (tools/bench_gates.json) on update
+// conservation (serving_applied_all, serving_published_le_applied) and
+// on COALESCING EFFICIENCY under pressure (serving_pressure_enqueued,
+// serving_coalesce_cap: groups_published / enqueued_batches), not
+// absolute throughput — the machine-transferable invariant
+// (hardware_threads is recorded so a future multi-core gate can
+// condition on it).
 //
 //   $ ./bench_serving [--n=2000000] [--readers=2] [--find-batch=256]
 //                     [--update-keys=256] [--duration-ms=500]
@@ -108,7 +110,7 @@ ScenarioResult RunScenario(const std::string& scenario,
         size_t base = rng.Below(
             static_cast<uint32_t>(probe_pool.size() - find_batch));
         for (size_t i = 0; i < find_batch; ++i) {
-          statement += " " + std::to_string(probe_pool[base + i]);
+          statement.append(" ").append(std::to_string(probe_pool[base + i]));
         }
         Timer timer;
         serve::StatementResult result = session.Execute(statement);
@@ -133,7 +135,7 @@ ScenarioResult RunScenario(const std::string& scenario,
         for (const char* verb : {"INSERT", "DELETE"}) {
           statement = std::string(verb) + " t";
           for (size_t i = 0; i < update_keys / 2; ++i) {
-            statement += " " + std::to_string(rng.Below(domain));
+            statement.append(" ").append(std::to_string(rng.Below(domain)));
           }
           if (!session.Execute(statement).ok()) return;
         }
@@ -204,6 +206,11 @@ int main(int argc, char** argv) {
   bench::Table table({"scenario", "spec", "readers", "Mprobes/s", "p50 us",
                       "p99 us", "enqueued", "published", "coalesce",
                       "hi-water"});
+  bench::Table rows({"scenario", "pressure", "spec", "readers", "statements",
+                     "probes", "mprobes_per_sec", "p50_us", "p99_us",
+                     "enqueued_batches", "batches_applied",
+                     "groups_published", "coalesce_ratio", "queue_high_water",
+                     "rejected_batches"});
   for (const ScenarioResult& r : results) {
     table.AddRow({r.scenario, r.spec, std::to_string(r.readers),
                   bench::Table::Num(r.MProbesPerSec(), 3),
@@ -213,46 +220,29 @@ int main(int argc, char** argv) {
                   std::to_string(r.writer.groups_published),
                   bench::Table::Num(r.CoalesceRatio(), 3),
                   std::to_string(r.queue.depth_high_water)});
+    rows.AddRow({bench::Table::Quote(r.scenario), r.pressure ? "true" : "false",
+                 bench::Table::Quote(r.spec), std::to_string(r.readers),
+                 std::to_string(r.statements), std::to_string(r.probes),
+                 bench::Table::Fixed(r.MProbesPerSec(), 3),
+                 bench::Table::Fixed(r.p50_us, 1),
+                 bench::Table::Fixed(r.p99_us, 1),
+                 std::to_string(r.queue.enqueued_batches),
+                 std::to_string(r.writer.batches_applied),
+                 std::to_string(r.writer.groups_published),
+                 bench::Table::Fixed(r.CoalesceRatio(), 4),
+                 std::to_string(r.queue.depth_high_water),
+                 std::to_string(r.queue.rejected_batches)});
   }
   table.Print("serving throughput, n=" + std::to_string(n) +
               ", hardware threads=" +
               std::to_string(ThreadPool::HardwareThreads()));
 
-  FILE* json = std::fopen(json_path.c_str(), "w");
-  if (json == nullptr) {
-    std::printf("cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"serving\",\n  \"n\": %zu,\n"
-               "  \"readers\": %d,\n  \"find_batch\": %zu,\n"
-               "  \"update_keys\": %zu,\n  \"duration_ms\": %d,\n"
-               "  \"hardware_threads\": %d,\n  \"serving\": [\n",
-               n, readers, find_batch, update_keys, duration_ms,
-               ThreadPool::HardwareThreads());
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    std::fprintf(
-        json,
-        "    {\"scenario\": \"%s\", \"pressure\": %s, \"spec\": \"%s\", "
-        "\"readers\": %d, \"statements\": %llu, \"probes\": %llu, "
-        "\"mprobes_per_sec\": %.3f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-        "\"enqueued_batches\": %llu, \"batches_applied\": %llu, "
-        "\"groups_published\": %llu, \"coalesce_ratio\": %.4f, "
-        "\"queue_high_water\": %zu, \"rejected_batches\": %llu}%s\n",
-        r.scenario.c_str(), r.pressure ? "true" : "false", r.spec.c_str(),
-        r.readers, static_cast<unsigned long long>(r.statements),
-        static_cast<unsigned long long>(r.probes), r.MProbesPerSec(),
-        r.p50_us, r.p99_us,
-        static_cast<unsigned long long>(r.queue.enqueued_batches),
-        static_cast<unsigned long long>(r.writer.batches_applied),
-        static_cast<unsigned long long>(r.writer.groups_published),
-        r.CoalesceRatio(), r.queue.depth_high_water,
-        static_cast<unsigned long long>(r.queue.rejected_batches),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return 0;
+  bench::JsonReport report("serving");
+  report.Param("n", std::to_string(n));
+  report.Param("readers", std::to_string(readers));
+  report.Param("find_batch", std::to_string(find_batch));
+  report.Param("update_keys", std::to_string(update_keys));
+  report.Param("duration_ms", std::to_string(duration_ms));
+  report.Block("serving", std::move(rows));
+  return report.Write(json_path) ? 0 : 1;
 }

@@ -286,7 +286,13 @@ class BasicCssTree {
       j = DispatchedLowerBound<Stride, 1, KeyT>(a_ + lo, k);
     } else {
       // Partial trailing leaf: runtime length, same dispatched contract.
-      j = DispatchedLowerBoundN(a_ + lo, static_cast<int>(hi - lo), k);
+      // LeafRange caps a leaf at Stride keys, so a partial one holds
+      // fewer; saying so lets the compiler drop the kernel paths only a
+      // longer run can take (GCC 12 otherwise warns -Warray-bounds on a
+      // 4-key tree's dead 4-wide AVX2 tail).
+      const int count = static_cast<int>(hi - lo);
+      CSSIDX_ASSUME(count < Stride);
+      j = DispatchedLowerBoundN(a_ + lo, count, k);
     }
     return lo + static_cast<size_t>(j);
   }

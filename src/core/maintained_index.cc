@@ -16,7 +16,7 @@ BasicMaintainedIndex<KeyT>::MakeVersion(
   if (spec.partitioned() && spec.OnMenu() &&
       spec.key_width() == static_cast<int>(sizeof(KeyT))) {
     // Owned build: each shard's keys in their own buffer, so a later
-    // RefreshWithBatch can reuse untouched shards by shared ownership.
+    // RefreshWithSortedBatch can reuse untouched shards by shared ownership.
     auto part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys->data(),
                                                         keys->size());
     BasicAnyIndex<KeyT> index =

@@ -40,8 +40,8 @@
 // For partitioned specs the full-rebuild cost is avoidable: the batch
 // routes through the fence table exactly like probes do, so only the
 // shards whose key range the batch touches are re-merged and rebuilt
-// (PartitionedIndex::RefreshWithBatch); every untouched shard's keys and
-// inner index carry over to the new version by shared ownership. Fences
+// (PartitionedIndex::RefreshWithSortedBatch); every untouched shard's keys
+// and inner index carry over to the new version by shared ownership. Fences
 // stay fixed across refreshes until equi-depth skew exceeds
 // kRebalanceSkew, which triggers one full rebuild with fresh cuts.
 //

@@ -98,17 +98,6 @@ BasicPartitionedIndex<KeyT>::BuildOwned(const IndexSpec& spec,
 
 template <typename KeyT>
 typename BasicPartitionedIndex<KeyT>::Refreshed
-BasicPartitionedIndex<KeyT>::RefreshWithBatch(
-    const workload::BasicUpdateBatch<KeyT>& batch) const {
-  std::vector<KeyT> inserts = batch.inserts;
-  std::sort(inserts.begin(), inserts.end());
-  std::vector<KeyT> deletes = batch.deletes;
-  std::sort(deletes.begin(), deletes.end());
-  return RefreshWithSortedBatch(inserts, deletes);
-}
-
-template <typename KeyT>
-typename BasicPartitionedIndex<KeyT>::Refreshed
 BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
     std::span<const KeyT> inserts, std::span<const KeyT> deletes) const {
   assert(owns_shard_keys() &&
@@ -418,10 +407,5 @@ template AnyIndex BuildPartitionedIndexT<Key>(const IndexSpec&, const Key*,
                                               size_t);
 template AnyIndex64 BuildPartitionedIndexT<Key64>(const IndexSpec&,
                                                   const Key64*, size_t);
-
-AnyIndex BuildPartitionedIndex(const IndexSpec& spec, const Key* keys,
-                               size_t n) {
-  return BuildPartitionedIndexT<Key>(spec, keys, n);
-}
 
 }  // namespace cssidx

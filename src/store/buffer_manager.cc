@@ -128,31 +128,38 @@ PageRef BufferManager::Pin(PageId id, bool create) {
   if (options_.buffer_pages != 0 && stats_.frames >= options_.buffer_pages) {
     EvictOne();
   }
-  frames_.push_front(Frame{id, std::vector<uint32_t>(values_per_page_, 0u),
-                           /*dirty=*/false, /*pins=*/1});
-  frame_table_[id] = frames_.begin();
-  ++stats_.frames;
-  stats_.peak_frames = std::max(stats_.peak_frames, stats_.frames);
-  ++stats_.pinned;
+  std::vector<uint32_t> values(values_per_page_, 0u);
   if (!create) {
     // The page existed before: its bytes are in the spill file (every
-    // non-resident existing page was evicted there). A short read — the
-    // file was never extended this far because the page was created but
-    // never evicted dirty — leaves the zero fill, which is exactly the
-    // content a never-written page has.
+    // non-resident existing page was evicted there). A short read at EOF
+    // — the file was never extended this far because the page was
+    // created but never evicted dirty — leaves the zero fill, which is
+    // exactly the content a never-written page has. A failed seek or a
+    // read error is not EOF: it throws rather than hand back zeros as
+    // data, and no frame is installed for the page.
     auto sf = spill_files_.find(id.column);
     if (sf != spill_files_.end()) {
       std::FILE* file = sf->second;
       auto offset = static_cast<long>(id.page) *
                     static_cast<long>(values_per_page_ * sizeof(uint32_t));
-      if (std::fseek(file, offset, SEEK_SET) == 0) {
-        size_t got = std::fread(frames_.begin()->values.data(),
-                                sizeof(uint32_t), values_per_page_, file);
-        (void)got;  // short read = zero tail, see above
-        ++stats_.spill_reads;
+      if (std::fseek(file, offset, SEEK_SET) != 0 ||
+          (std::fread(values.data(), sizeof(uint32_t), values_per_page_,
+                      file) < values_per_page_ &&
+           std::ferror(file))) {
+        std::clearerr(file);
+        throw std::runtime_error("spill read failed for column " +
+                                 std::to_string(id.column) + " page " +
+                                 std::to_string(id.page));
       }
+      ++stats_.spill_reads;
     }
   }
+  frames_.push_front(Frame{id, std::move(values), /*dirty=*/false,
+                           /*pins=*/1});
+  frame_table_[id] = frames_.begin();
+  ++stats_.frames;
+  stats_.peak_frames = std::max(stats_.peak_frames, stats_.frames);
+  ++stats_.pinned;
   return PageRef(this, &*frames_.begin());
 }
 

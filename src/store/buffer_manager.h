@@ -69,7 +69,8 @@ class BufferManager {
   /// Pins page `id`. `create` says the caller is materializing a brand-new
   /// page (append path): the frame comes back zero-filled without
   /// consulting the spill file. Throws std::runtime_error when the budget
-  /// is exhausted and every frame is pinned.
+  /// is exhausted and every frame is pinned, or when reading the page
+  /// back from the spill file fails (a seek or read error, never EOF).
   PageRef Pin(PageId id, bool create = false);
 
   /// Drops resident frames of `column` with page index >= first_kept

@@ -14,12 +14,17 @@
 #define CSSIDX_LIKELY(x) __builtin_expect(!!(x), 1)
 #define CSSIDX_UNLIKELY(x) __builtin_expect(!!(x), 0)
 #define CSSIDX_PREFETCH(addr) __builtin_prefetch(addr)
+#define CSSIDX_ASSUME(x)               \
+  do {                                 \
+    if (!(x)) __builtin_unreachable(); \
+  } while (0)
 #else
 #define CSSIDX_ALWAYS_INLINE inline
 #define CSSIDX_NOINLINE
 #define CSSIDX_LIKELY(x) (x)
 #define CSSIDX_UNLIKELY(x) (x)
 #define CSSIDX_PREFETCH(addr)
+#define CSSIDX_ASSUME(x) ((void)0)
 #endif
 
 namespace cssidx {

@@ -1,9 +1,13 @@
 // The bench harness is part of the reproduction deliverable (it defines
 // the measurement protocol), so its pieces get the same test treatment:
-// option parsing, the min-of-repeats timer contract, and table rendering.
+// option parsing, the min-of-repeats timer contract, table rendering, and
+// the JSON report every gated bench writes.
 
 #include "../bench/harness.h"
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,6 +73,53 @@ TEST(Harness, TablePrintsHumanAndCsvBlocks) {
   EXPECT_NE(out.find("csv,a,b"), std::string::npos);
   EXPECT_NE(out.find("csv,1,x"), std::string::npos);
   EXPECT_NE(out.find("csv,2,y"), std::string::npos);
+}
+
+TEST(Harness, JsonReportWritesHeaderThenRowBlocks) {
+  EXPECT_EQ(Table::Fixed(2.0, 3), "2.000");
+  EXPECT_EQ(Table::Quote("css:16"), "\"css:16\"");
+  Table rows({"spec", "speedup"});
+  rows.AddRow({Table::Quote("bin"), Table::Fixed(1.5, 3)});
+  rows.AddRow({Table::Quote("css:16"), Table::Fixed(2.25, 3)});
+  JsonReport report("demo");
+  report.Param("n", "100");
+  report.Block("results", std::move(rows));
+  report.Block("empty", Table({"x"}));
+  const std::string path =
+      testing::TempDir() + "harness_test_report.json";
+  testing::internal::CaptureStdout();
+  ASSERT_TRUE(report.Write(path));
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("wrote " + path),
+            std::string::npos);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  std::remove(path.c_str());
+  // Header first, in order: bench, run parameters, then the machine.
+  const size_t bench = json.find("\"bench\": \"demo\"");
+  const size_t n = json.find("\"n\": 100");
+  const size_t threads = json.find("\"hardware_threads\": ");
+  const size_t path_field = json.find("\"node_search_path\": \"");
+  const size_t block = json.find("\"results\": [");
+  ASSERT_NE(bench, std::string::npos);
+  ASSERT_NE(block, std::string::npos);
+  EXPECT_LT(bench, n);
+  EXPECT_LT(n, threads);
+  EXPECT_LT(threads, path_field);
+  EXPECT_LT(path_field, block);
+  EXPECT_NE(json.find("    {\"spec\": \"bin\", \"speedup\": 1.500},\n"
+                      "    {\"spec\": \"css:16\", \"speedup\": 2.250}\n  ]"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"empty\": [\n  ]\n}\n"), std::string::npos);
+}
+
+TEST(Harness, JsonReportFailsOnUnwritablePath) {
+  JsonReport report("demo");
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(report.Write("/nonexistent-dir/report.json"));
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("cannot write"),
+            std::string::npos);
 }
 
 }  // namespace

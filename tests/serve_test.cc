@@ -28,7 +28,7 @@ namespace {
 std::string KeysStatement(const char* verb, const char* table,
                           const std::vector<uint32_t>& keys) {
   std::string text = std::string(verb) + " " + table;
-  for (uint32_t k : keys) text += " " + std::to_string(k);
+  for (uint32_t k : keys) text.append(" ").append(std::to_string(k));
   return text;
 }
 
