@@ -3,7 +3,8 @@
 // point+range, update-heavy localized), each observed through an incumbent
 // index wearing a ProbeStatsCollector — the same loop the serving layer
 // runs — then advised, then raced: the advisor's pick vs every spec on a
-// static menu, measured with the harness protocol (warmup + best-of-k).
+// static menu, measured with the harness protocol (warmup + best-of-k),
+// each spec timed once per mix.
 //
 // The JSON's "advisor" block is gated (tools/bench_gates.json,
 // advisor_ratio_floor) on the RATIO best_static/picked (1.0 = the pick
@@ -56,6 +57,40 @@ struct MixResult {
     return picked_ns > 0 ? best_static_ns / picked_ns : 0.0;
   }
 };
+
+// Races the static menu plus the pick in one pass, timing every spec once
+// with `seconds(spec)` (negative = not buildable). A pick on the menu
+// reuses its menu row, so the ratio never compares two timings of the
+// same spec that differ only in warm-up and order.
+template <typename SecondsFn>
+MixResult Race(std::string mix, const IndexSpec& pick, uint64_t probes,
+               SecondsFn&& seconds) {
+  MixResult r;
+  r.mix = std::move(mix);
+  r.picked_spec = pick.ToString();
+  r.probes = probes;
+  std::vector<IndexSpec> specs;
+  for (const std::string& text : StaticMenu()) {
+    specs.push_back(*IndexSpec::Parse(text));
+  }
+  const size_t on_menu = specs.size();
+  const size_t pick_at = static_cast<size_t>(
+      std::find(specs.begin(), specs.end(), pick) - specs.begin());
+  if (pick_at == on_menu) specs.push_back(pick);
+  double best = 1e300;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const double sec = seconds(specs[i]);
+    if (i == pick_at) {
+      r.picked_ns = sec / static_cast<double>(probes) * 1e9;
+    }
+    if (i < on_menu && sec >= 0 && sec < best) {
+      best = sec;
+      r.best_static_spec = StaticMenu()[i];
+    }
+  }
+  r.best_static_ns = best / static_cast<double>(probes) * 1e9;
+  return r;
+}
 
 // Best-of-`repeats` seconds replaying the mix (points through FindBlocked,
 // ranges through EqualRangeBlocked), after one untimed warmup pass.
@@ -165,25 +200,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    MixResult r;
-    r.mix = mix.name;
-    r.picked_spec = rec.spec.ToString();
-    r.probes = mix.points.size() + mix.ranges.size();
-    double best = 1e300;
-    for (const std::string& text : StaticMenu()) {
-      AnyIndex index = BuildIndex(*IndexSpec::Parse(text), keys);
-      if (!index) continue;
-      double sec = ProbeSeconds(index, mix.points, mix.ranges, repeats);
-      if (sec < best) {
-        best = sec;
-        r.best_static_spec = text;
-      }
-    }
-    AnyIndex picked = BuildIndex(rec.spec, keys);
-    double pick_sec = ProbeSeconds(picked, mix.points, mix.ranges, repeats);
-    r.picked_ns = pick_sec / static_cast<double>(r.probes) * 1e9;
-    r.best_static_ns = best / static_cast<double>(r.probes) * 1e9;
-    results.push_back(std::move(r));
+    results.push_back(Race(
+        mix.name, rec.spec, mix.points.size() + mix.ranges.size(),
+        [&](const IndexSpec& spec) {
+          AnyIndex index = BuildIndex(spec, keys);
+          return index ? ProbeSeconds(index, mix.points, mix.ranges, repeats)
+                       : -1.0;
+        }));
   }
 
   // ---- update-heavy mix -------------------------------------------------
@@ -218,25 +241,13 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    MixResult r;
-    r.mix = "update_heavy";
-    r.picked_spec = rec.spec.ToString();
-    r.probes = probes.size() * ups.size();
-    double best = 1e300;
-    int cycle_repeats = std::max(repeats / 2, 1);
-    for (const std::string& text : StaticMenu()) {
-      double sec = UpdateCycleSeconds(*IndexSpec::Parse(text), keys, ups,
-                                      probes, cycle_repeats);
-      if (sec >= 0 && sec < best) {
-        best = sec;
-        r.best_static_spec = text;
-      }
-    }
-    double pick_sec =
-        UpdateCycleSeconds(rec.spec, keys, ups, probes, cycle_repeats);
-    r.picked_ns = pick_sec / static_cast<double>(r.probes) * 1e9;
-    r.best_static_ns = best / static_cast<double>(r.probes) * 1e9;
-    results.push_back(std::move(r));
+    const int cycle_repeats = std::max(repeats / 2, 1);
+    results.push_back(Race("update_heavy", rec.spec,
+                           probes.size() * ups.size(),
+                           [&](const IndexSpec& spec) {
+                             return UpdateCycleSeconds(spec, keys, ups, probes,
+                                                       cycle_repeats);
+                           }));
   }
 
   bench::Table table({"mix", "picked", "best static", "picked ns/probe",

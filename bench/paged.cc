@@ -11,7 +11,9 @@
 // build_slowdown_vs_inram (paged_build_slowdown_cap) — a within-run ratio
 // (paged build over flat in-RAM build of the SAME data on the SAME
 // machine), so the gate transfers across hardware — and on the sweep
-// really merging runs on its external rows (paged_external_merges).
+// really merging runs on its external rows (paged_external_merges). The
+// bench exits 1 if a bounded budget still covers the whole column (a
+// column of two pages or fewer), since that row measures the in-RAM path.
 //
 //   $ ./bench_paged [--n=1000000] [--page-bytes=65536] [--spec=css:16]
 //                   [--lookups=200000] [--repeats=3] [--quick]
@@ -19,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,16 +66,21 @@ int main(int argc, char** argv) {
   const size_t values_per_page = std::max<size_t>(page_bytes / 4, 1);
   const size_t column_pages = (n + values_per_page - 1) / values_per_page;
   // Budget sweep: unbounded, then the column shrunk to 1/2, 1/4, 1/16 of
-  // its pages, then a near-minimal pool. Every bounded budget below the
-  // column's page count forces the external build path.
+  // its pages, then a near-minimal pool. Every bounded budget is clamped
+  // below the column's page count, so it forces the external build path;
+  // budgets the clamp makes equal are swept once.
   std::vector<size_t> budgets{0};
+  const size_t max_bounded = column_pages > 0 ? column_pages - 1 : 0;
   for (size_t b : {column_pages / 2, column_pages / 4, column_pages / 16,
                    size_t{8}}) {
-    b = std::max<size_t>(b, 2);  // a 1-page pool can't even double-buffer
+    // A 1-page pool can't even double-buffer.
+    b = std::max<size_t>(std::min(b, max_bounded), 2);
     if (std::find(budgets.begin(), budgets.end(), b) == budgets.end()) {
       budgets.push_back(b);
     }
   }
+  std::sort(budgets.begin() + 1, budgets.end(), std::greater<>());
+  bool bounded_in_ram = false;
   bench::Table table({"buffer_pages", "fraction", "external", "runs",
                       "build s", "slowdown", "probe Mk/s", "faults",
                       "spill_rd", "spill_wr"});
@@ -92,6 +100,7 @@ int main(int argc, char** argv) {
                                 ? 0.0
                                 : static_cast<double>(budget) /
                                       static_cast<double>(column_pages);
+    bounded_in_ram = bounded_in_ram || fraction >= 1.0;
     const store::BufferStats before = paged.PoolStats();
     double build_seconds = 1e300;
     for (int r = 0; r < options.repeats; ++r) {
@@ -145,5 +154,13 @@ int main(int argc, char** argv) {
                    static_cast<double>(lookups.size()) / inram_probe / 1e6,
                    3));
   report.Block("paged", std::move(json_rows));
-  return report.Write(json_path) ? 0 : 1;
+  if (!report.Write(json_path)) return 1;
+  if (bounded_in_ram) {
+    std::fprintf(stderr,
+                 "bench_paged: a bounded budget holds the whole column (%zu "
+                 "pages); raise --n or lower --page-bytes\n",
+                 column_pages);
+    return 1;
+  }
+  return 0;
 }

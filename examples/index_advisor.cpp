@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       continue;
     }
     Candidate c{index.Name(), spec.ToString(), index.SpaceBytes(), 0,
-                index.SupportsOrderedAccess()};
+                spec.ordered()};
     if (c.space > budget) {
       ++over_budget;
       if (spec_only) {

@@ -243,15 +243,6 @@ std::vector<IndexSpec> CandidateMenu(const AdvisorOptions& opts) {
       add(IndexSpec(Method::kHash, bits));
     }
   }
-  // @tN variants: one per hardware width; pointless (and never
-  // recommended) on a single-core box.
-  if (opts.hardware_threads > 1) {
-    size_t base = menu.size();
-    for (size_t i = 0; i < base; ++i) {
-      IndexSpec threaded = menu[i].WithProbeThreads(opts.hardware_threads);
-      if (threaded.OnMenu()) menu.push_back(threaded);
-    }
-  }
   return menu;
 }
 
@@ -265,8 +256,8 @@ Recommendation Advise(const WorkloadProfile& profile, size_t n,
   }
   std::vector<IndexSpec> menu = CandidateMenu(opts);
   if (opts.need_ordered_access || profile.lower_bound_probes > 0) {
-    // The workload (or the caller) needs ordered positions; hash's
-    // LowerBound degenerates to size().
+    // The workload (or the caller) needs ordered positions; hash answers
+    // them with a binary search on the sorted array, not its structure.
     std::erase_if(menu, [](const IndexSpec& s) { return !s.ordered(); });
   }
   if (profile.UpdateRate() < 0.001) {

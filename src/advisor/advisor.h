@@ -34,9 +34,6 @@ namespace cssidx::advisor {
 struct AdvisorOptions {
   /// Index bytes beyond the sorted key array; 0 = unlimited.
   uint64_t space_budget_bytes = 0;
-  /// Threads available for probe sharding; 1 (the dev default) means @tN
-  /// suffixes are never recommended.
-  int hardware_threads = 1;
   /// 4 or 8. Candidates are generated at this width (hash is 4-only).
   int key_width = 4;
   /// Keep hash off the menu even if the observed mix would allow it —
@@ -93,8 +90,8 @@ struct Recommendation {
 };
 
 /// The candidate menu at `opts.key_width`: every method × node-size on the
-/// spec menu, hash directory sweeps, part:K wraps, and @tN variants when
-/// `opts.hardware_threads` > 1. Every returned spec satisfies OnMenu().
+/// spec menu, hash directory sweeps, and part:K wraps. Every returned spec
+/// satisfies OnMenu().
 std::vector<IndexSpec> CandidateMenu(const AdvisorOptions& opts);
 
 /// Models one candidate against the profile (no building, pure math).

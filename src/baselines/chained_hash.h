@@ -108,8 +108,10 @@ class ChainedHashIndex {
   /// leftmost match and the duplicate count together — half the chain
   /// traffic of Find followed by CountEqual. Duplicates are inserted in
   /// array order, so the first match along the chain is the leftmost array
-  /// position and the run is {leftmost, leftmost + count}. Absent keys
-  /// anchor their empty span at size() (hash has no insertion point).
+  /// position and the run is {leftmost, leftmost + count}. The table has
+  /// no insertion point, so an absent key comes back as {size(), size()};
+  /// the AnyIndex adapter (core/any_index.h) re-anchors it by binary
+  /// search on the sorted array the table was built over.
   void EqualRangeBatch(std::span<const Key> keys,
                        std::span<PositionRange> out) const {
     assert(out.size() >= keys.size());

@@ -117,27 +117,32 @@ class BasicAnyIndex {
  public:
   /// The virtual boundary. Implementations are batch-oriented; everything
   /// scalar is derived.
+  ///
+  /// The positional contract, the same for every spec (hash and part:K
+  /// included): every index is built over a sorted key array a[0..size()),
+  /// and every answer is a position in it, equal to what std::lower_bound /
+  /// std::equal_range on a[] return. "Leftmost" is load-bearing: duplicate
+  /// routing (§4.1.2) directs an equal key to the LEFTMOST matching
+  /// position, so a duplicate run can be enumerated from its lower bound.
+  /// Results are independent of batch boundaries and thread policy:
+  /// probing one key in a batch of 4096 equals probing it alone.
+  /// Figure 7's "RID-ordered access" column is IndexSpec::ordered(), a
+  /// property of the method's structure, not of these answers.
   class Impl {
    public:
     virtual ~Impl() = default;
-    /// out[i] = first position >= keys[i] (size() for unordered methods).
-    /// "First" is load-bearing: duplicate routing (§4.1.2) directs an
-    /// equal key to the LEFTMOST matching position, so a duplicate run can
-    /// be enumerated from its lower bound.
+    /// out[i] = first position p with a[p] >= keys[i] (size() if none).
     virtual void LowerBoundBatch(std::span<const KeyT> keys,
                                  std::span<size_t> out) const = 0;
-    /// out[i] = leftmost position of keys[i] or kNotFound. Results are
-    /// independent of batch boundaries and thread policy: probing one key
-    /// in a batch of 4096 equals probing it alone.
+    /// out[i] = leftmost position of keys[i], or kNotFound if absent.
     virtual void FindBatch(std::span<const KeyT> keys,
                            std::span<int64_t> out) const = 0;
-    /// out[i] = the half-open positional span of keys[i]'s duplicate run
-    /// (§3.6): {leftmost match, leftmost match + count}. Absent keys yield
-    /// an empty span anchored at the insertion point (ordered methods) or
-    /// at size() (hash).
+    /// out[i] = the half-open span of keys[i]'s duplicate run (§3.6):
+    /// {lower bound, lower bound + count}. An absent key yields the empty
+    /// span anchored at its insertion point.
     virtual void EqualRangeBatch(std::span<const KeyT> keys,
                                  std::span<PositionRange> out) const = 0;
-    /// out[i] = number of occurrences of keys[i] (§3.6).
+    /// out[i] = number of occurrences of keys[i] (§3.6), 0 if absent.
     virtual void CountEqualBatch(std::span<const KeyT> keys,
                                  std::span<size_t> out) const = 0;
 
@@ -182,8 +187,6 @@ class BasicAnyIndex {
     /// Extra bytes beyond the sorted array.
     virtual size_t SpaceBytes() const = 0;
     virtual size_t size() const = 0;
-    /// False for hash (Figure 7's "RID-Ordered Access" column).
-    virtual bool SupportsOrderedAccess() const = 0;
   };
 
   /// Empty handle; falsy. BuildIndex returns this for off-menu specs.
@@ -288,10 +291,6 @@ class BasicAnyIndex {
     assert(impl_ != nullptr);
     return impl_->size();
   }
-  bool SupportsOrderedAccess() const {
-    assert(impl_ != nullptr);
-    return impl_->SupportsOrderedAccess();
-  }
   const std::string& Name() const { return name_; }
   const IndexSpec& spec() const { return spec_; }
   /// Identity of the shared structure, for structural inspection (e.g.
@@ -386,71 +385,63 @@ class OrderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
 
   size_t SpaceBytes() const override { return index_.SpaceBytes(); }
   size_t size() const override { return index_.size(); }
-  bool SupportsOrderedAccess() const override { return true; }
 
  private:
   IndexT index_;
 };
 
-/// Adapter for hash indexes (no ordered access): LowerBound degenerates to
-/// size(), Find still returns the leftmost array position — and so do the
-/// range probes: the hash stores array positions, duplicates are adjacent
-/// in the sorted array, so {leftmost, leftmost + count} is a real span.
-/// Absent keys anchor their empty span at size() (no insertion point
-/// without ordered access).
-template <typename HashT, typename KeyT = Key>
-class UnorderedBatchImpl final : public BasicAnyIndex<KeyT>::Impl {
+/// Adapter for the chained hash (§3.5), the one place that knows hash has
+/// no ordered structure. The table answers Find, EqualRange and CountEqual
+/// from its buckets: it stores array positions and duplicates are adjacent
+/// in the sorted array, so {leftmost, leftmost + count} is a real span. An
+/// insertion point — every LowerBound, and the anchor of an absent key's
+/// empty span — comes from a binary search on the sorted array the table
+/// was built over.
+template <typename HashT>
+class HashBatchImpl final : public AnyIndex::Impl {
  public:
-  explicit UnorderedBatchImpl(HashT index) : index_(std::move(index)) {}
+  /// `sorted_keys` is the array `index` was built over; like the array
+  /// behind every ordered method, it must outlive the adapter.
+  HashBatchImpl(HashT index, const Key* sorted_keys)
+      : index_(std::move(index)), keys_(sorted_keys) {}
 
-  void LowerBoundBatch(std::span<const KeyT> keys,
+  void LowerBoundBatch(std::span<const Key> keys,
                        std::span<size_t> out) const override {
-    for (size_t i = 0; i < keys.size(); ++i) out[i] = index_.size();
+    for (size_t i = 0; i < keys.size(); ++i) out[i] = InsertionPoint(keys[i]);
   }
 
-  void FindBatch(std::span<const KeyT> keys,
+  void FindBatch(std::span<const Key> keys,
                  std::span<int64_t> out) const override {
-    if constexpr (HasFindBatch<HashT, KeyT>) {
-      index_.FindBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) out[i] = index_.Find(keys[i]);
-    }
+    index_.FindBatch(keys, out);
   }
 
-  void EqualRangeBatch(std::span<const KeyT> keys,
+  void EqualRangeBatch(std::span<const Key> keys,
                        std::span<PositionRange> out) const override {
-    if constexpr (HasEqualRangeBatch<HashT, KeyT>) {
-      index_.EqualRangeBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        int64_t found = index_.Find(keys[i]);
-        if (found == kNotFound) {
-          out[i] = PositionRange{index_.size(), index_.size()};
-        } else {
-          auto lo = static_cast<size_t>(found);
-          out[i] = PositionRange{lo, lo + index_.CountEqual(keys[i])};
-        }
+    index_.EqualRangeBatch(keys, out);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (out[i].empty()) {
+        const size_t at = InsertionPoint(keys[i]);
+        out[i] = PositionRange{at, at};
       }
     }
   }
 
-  void CountEqualBatch(std::span<const KeyT> keys,
+  void CountEqualBatch(std::span<const Key> keys,
                        std::span<size_t> out) const override {
-    if constexpr (HasCountEqualBatch<HashT, KeyT>) {
-      index_.CountEqualBatch(keys, out);
-    } else {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        out[i] = index_.CountEqual(keys[i]);
-      }
-    }
+    index_.CountEqualBatch(keys, out);
   }
 
   size_t SpaceBytes() const override { return index_.SpaceBytes(); }
   size_t size() const override { return index_.size(); }
-  bool SupportsOrderedAccess() const override { return false; }
 
  private:
+  size_t InsertionPoint(Key k) const {
+    return static_cast<size_t>(
+        std::lower_bound(keys_, keys_ + index_.size(), k) - keys_);
+  }
+
   HashT index_;
+  const Key* keys_;
 };
 
 /// Probes `keys` through FindBatch in blocks of at most `batch` probes,
@@ -512,11 +503,12 @@ AnyIndex MakeOrderedAnyIndex(IndexSpec spec, IndexT index) {
   return MakeOrderedAnyIndexFor<Key>(spec, std::move(index));
 }
 
-/// Wraps a concrete hash index instance into the facade.
+/// Wraps a hash index built over `sorted_keys` into the facade.
 template <typename HashT>
-AnyIndex MakeUnorderedAnyIndex(IndexSpec spec, HashT index) {
-  return AnyIndex(
-      spec, std::make_shared<UnorderedBatchImpl<HashT>>(std::move(index)));
+AnyIndex MakeHashAnyIndex(IndexSpec spec, HashT index,
+                          const Key* sorted_keys) {
+  return AnyIndex(spec, std::make_shared<HashBatchImpl<HashT>>(
+                            std::move(index), sorted_keys));
 }
 
 }  // namespace cssidx

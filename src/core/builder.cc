@@ -90,9 +90,10 @@ BasicAnyIndex<KeyT> BuildIndexT(const IndexSpec& spec, const KeyT* keys,
       // The chained-hash bucket layout is 4-byte only; OnMenu rejects
       // hash at width 8, so the 64-bit instantiation never reaches here.
       if constexpr (std::is_same_v<KeyT, Key>) {
-        return MakeUnorderedAnyIndex(
-            spec, ChainedHashIndex<kCacheLineBytes>(keys, n,
-                                                    spec.hash_dir_bits()));
+        return MakeHashAnyIndex(
+            spec,
+            ChainedHashIndex<kCacheLineBytes>(keys, n, spec.hash_dir_bits()),
+            keys);
       } else {
         return {};
       }

@@ -30,8 +30,7 @@ inline constexpr int64_t kNotFound = -1;
 /// the result type of every range probe. Duplicates are contiguous in a
 /// sorted array, so a key's whole duplicate run is one such span:
 /// {leftmost match, leftmost match + count}. An absent key yields an empty
-/// span (begin == end) anchored at the key's insertion point for ordered
-/// methods, or at size() for hash (which has no notion of position).
+/// span (begin == end) anchored at the key's insertion point.
 struct PositionRange {
   size_t begin = 0;  // first position in the range
   size_t end = 0;    // one past the last

@@ -219,9 +219,6 @@ class BasicMaintainedIndex {
   }
 
   size_t size() const { return Snapshot()->keys().size(); }
-  bool SupportsOrderedAccess() const {
-    return Snapshot()->index().SupportsOrderedAccess();
-  }
   const IndexSpec& spec() const { return spec_; }
   const MaintenanceStats& stats() const { return stats_; }
   /// Sequence of the current version (one atomic snapshot load).

@@ -60,7 +60,6 @@ void BasicPartitionedIndex<KeyT>::Init(const IndexSpec& spec,
   spec_ = spec;
   const size_t k = static_cast<size_t>(std::max(spec.partitions(), 1));
   const IndexSpec inner = spec.Inner();
-  ordered_ = inner.ordered();
   ComputeCuts(keys, n, k, bases_, fences_);
   shards_.reserve(k);
   if (own_keys) owned_.reserve(k);
@@ -173,7 +172,6 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
   auto fresh =
       std::shared_ptr<BasicPartitionedIndex>(new BasicPartitionedIndex());
   fresh->n_ = total;
-  fresh->ordered_ = ordered_;
   fresh->spec_ = spec_;
   fresh->fences_ = fences_;  // unchanged: what makes shard reuse sound
   fresh->bases_ = std::move(bases);
@@ -287,12 +285,6 @@ template <typename KeyT>
 void BasicPartitionedIndex<KeyT>::LowerBoundBatch(
     std::span<const KeyT> keys, std::span<size_t> out,
     const ProbeOptions& opts) const {
-  if (!ordered_) {
-    // Bare hash answers every LowerBound with size(); shard-local sizes
-    // plus bases would fake positions the contract says do not exist.
-    for (size_t i = 0; i < keys.size(); ++i) out[i] = n_;
-    return;
-  }
   Route(
       keys, out, opts,
       [&](size_t s, std::span<const KeyT> in, std::span<size_t> local) {
@@ -330,10 +322,9 @@ void BasicPartitionedIndex<KeyT>::EqualRangeBatch(
         shards_[s].EqualRangeBatch(in, local, kInline);
       },
       // Runs never straddle fences, so the shard-local span is the whole
-      // run. Hash anchors absent keys at size(), which must stay the
-      // GLOBAL size, not base + shard size.
+      // run; an absent key's insertion point is exact for the same reason
+      // as in LowerBoundBatch.
       [&](size_t s, PositionRange r) {
-        if (!ordered_ && r.empty()) return PositionRange{n_, n_};
         return PositionRange{r.begin + bases_[s], r.end + bases_[s]};
       });
 }

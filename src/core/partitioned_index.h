@@ -117,7 +117,6 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
 
   size_t SpaceBytes() const override;
   size_t size() const override { return n_; }
-  bool SupportsOrderedAccess() const override { return ordered_; }
 
   /// Introspection for tests and placement tooling.
   size_t num_shards() const { return shards_.size(); }
@@ -155,7 +154,6 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
              const ProbeOptions& opts, ProbeFn&& probe, MapFn&& map) const;
 
   size_t n_ = 0;
-  bool ordered_ = true;
   IndexSpec spec_{};
   /// At most K - 1 entries; see fences().
   std::vector<KeyT> fences_;

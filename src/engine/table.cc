@@ -228,29 +228,6 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
   rids_ = std::move(merged);
 }
 
-size_t SortIndex::LowerBound(uint32_t v) const {
-  const AnyIndex& index = head_->index();
-  if (index.SupportsOrderedAccess()) return index.LowerBound(v);
-  // Hash can't serve positional queries; the sorted key list still can.
-  const std::vector<uint32_t>& keys = head_->keys();
-  return static_cast<size_t>(
-      std::lower_bound(keys.begin(), keys.end(), v) - keys.begin());
-}
-
-void SortIndex::LowerBoundBatch(std::span<const uint32_t> keys,
-                                std::span<size_t> out,
-                                const ProbeOptions& opts) const {
-  const AnyIndex& index = head_->index();
-  if (index.SupportsOrderedAccess()) {
-    index.LowerBoundBatch(keys, out, opts);
-    return;
-  }
-  // Hash fallback: the scalar path's binary search, still sharded.
-  ParallelProbe(opts, keys.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) out[i] = LowerBound(keys[i]);
-  });
-}
-
 std::vector<Rid> SortIndex::Equal(uint32_t v) const {
   std::vector<Rid> out;
   int64_t found = head_->index().Find(v);

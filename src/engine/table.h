@@ -118,10 +118,9 @@ class ColumnView {
 /// index's working representation) — only their construction differs:
 /// paged tables over budget build them by external merge sort.
 ///
-/// Unordered methods (hash) still serve Equal/Find — the hash stores array
-/// positions, so the leftmost match plus a rightward scan works as for any
-/// ordered method — while Range/LowerBound fall back to binary search on
-/// the sorted key list.
+/// Every spec, hash included, answers in positions of the sorted key list
+/// (the AnyIndex positional contract), so Equal/Range/LowerBound need no
+/// per-method branch here.
 class SortIndex {
  public:
   explicit SortIndex(const std::vector<uint32_t>& column_values,
@@ -203,7 +202,10 @@ class SortIndex {
 
   /// Leftmost sorted position of `v`, or kNotFound.
   int64_t Find(uint32_t v) const { return head_->index().Find(v); }
-  size_t LowerBound(uint32_t v) const;
+  /// First sorted position whose value is >= `v`.
+  size_t LowerBound(uint32_t v) const {
+    return head_->index().LowerBound(v);
+  }
 
   /// Batched probes against the sorted key list — the join inner loop.
   /// out[i] = leftmost sorted position of keys[i], or kNotFound. The
@@ -219,16 +221,17 @@ class SortIndex {
     head_->index().FindBatch(keys, out, opts);
   }
 
-  /// Batched lower bounds on the sorted key list. Ordered methods go
-  /// through the index's batch kernel; hash falls back to binary search on
-  /// the sorted keys (still sharded per `opts`), so every spec serves
-  /// positional probes.
+  /// Batched lower bounds on the sorted key list, through the index's
+  /// batch kernel for every spec (hash binary-searches the sorted keys
+  /// behind the facade).
   void LowerBoundBatch(std::span<const uint32_t> keys,
                        std::span<size_t> out) const {
-    LowerBoundBatch(keys, out, ProbeOptions{.threads = spec().probe_threads()});
+    head_->index().LowerBoundBatch(keys, out);
   }
   void LowerBoundBatch(std::span<const uint32_t> keys, std::span<size_t> out,
-                       const ProbeOptions& opts) const;
+                       const ProbeOptions& opts) const {
+    head_->index().LowerBoundBatch(keys, out, opts);
+  }
 
   /// Batched duplicate-run probes — the join's duplicate expansion and
   /// GroupBy's group resolution. out[i] spans keys[i]'s run in the sorted

@@ -12,18 +12,6 @@
 namespace cssidx::serve {
 namespace {
 
-/// LowerBound against one held snapshot: ordered methods descend their
-/// structure; hash falls back to binary search on the snapshot's sorted
-/// key array (the same fallback the engine's SortIndex uses), so RANGE
-/// works for every spec on the menu — at either key width.
-template <typename VersionT, typename KeyT>
-size_t SnapshotLowerBound(const VersionT& snap, KeyT k) {
-  if (snap.index().SupportsOrderedAccess()) return snap.index().LowerBound(k);
-  const auto& keys = snap.keys();
-  return static_cast<size_t>(
-      std::lower_bound(keys.begin(), keys.end(), k) - keys.begin());
-}
-
 /// The ID a string-table probe uses for a value absent from the domain
 /// dictionary. Real IDs are dense from 0, so UINT32_MAX is unreachable
 /// short of a dictionary with 2^32 distinct values; probing it yields
@@ -95,7 +83,7 @@ struct IntTable {
     /// "RANGE t 0 4294967296" covers a whole 32-bit table.
     size_t Position(uint64_t bound) const {
       if (bound > std::numeric_limits<KeyT>::max()) return snap->keys().size();
-      return SnapshotLowerBound(*snap, static_cast<KeyT>(bound));
+      return snap->index().LowerBound(static_cast<KeyT>(bound));
     }
     auto JoinKeyMap(const View&) const {
       return [](KeyT k) { return k; };
@@ -192,8 +180,8 @@ struct StringTable {
       const uint32_t lo = pair->domain->LowerBoundId(stmt.lo_token);
       const uint32_t hi = pair->domain->LowerBoundId(stmt.hi_token);
       if (hi > lo) {
-        result->range_begin = SnapshotLowerBound(ids(), lo);
-        result->range_end = SnapshotLowerBound(ids(), hi);
+        result->range_begin = ids().index().LowerBound(lo);
+        result->range_end = ids().index().LowerBound(hi);
       }
       return true;
     }

@@ -24,18 +24,26 @@ TEST(Builder, BuildsEverySpec) {
   }
 }
 
-TEST(Builder, OrderedMethodsSupportLowerBound) {
+TEST(Builder, EverySpecAnswersPositionalProbes) {
   auto keys = workload::DistinctSortedKeys(2000, 5, 4);
   for (const IndexSpec& spec : AllSpecs(16, 6)) {
     AnyIndex index = BuildIndex(spec, keys);
     ASSERT_TRUE(index) << spec.ToString();
-    EXPECT_EQ(index.SupportsOrderedAccess(), spec.ordered())
-        << spec.ToString();
-    if (!spec.ordered()) continue;
-    Key probe = keys[1000] + 1;
-    auto expected = static_cast<size_t>(
-        std::lower_bound(keys.begin(), keys.end(), probe) - keys.begin());
-    EXPECT_EQ(index.LowerBound(probe), expected) << spec.ToString();
+    // A hit, a miss between keys, and a miss past the last key.
+    size_t gap = 1000;
+    while (keys[gap + 1] - keys[gap] < 2) ++gap;
+    for (Key probe : {keys[1000], keys[gap] + 1, keys.back() + 1}) {
+      auto lo = std::lower_bound(keys.begin(), keys.end(), probe);
+      auto hi = std::upper_bound(keys.begin(), keys.end(), probe);
+      const PositionRange want{static_cast<size_t>(lo - keys.begin()),
+                               static_cast<size_t>(hi - keys.begin())};
+      EXPECT_EQ(index.LowerBound(probe), want.begin)
+          << spec.ToString() << " k=" << probe;
+      EXPECT_EQ(index.EqualRange(probe), want)
+          << spec.ToString() << " k=" << probe;
+      EXPECT_EQ(index.CountEqual(probe), want.size())
+          << spec.ToString() << " k=" << probe;
+    }
   }
 }
 

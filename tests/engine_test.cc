@@ -127,7 +127,7 @@ TEST(Query, SelectRangeIndexedMatchesScan) {
 TEST(Query, SelectRangeIsBitIdenticalToTheScalarBoundPath) {
   // The batch rewrite must reproduce the pre-batch implementation — two
   // scalar LowerBounds and a RID-list slice — exactly, element order
-  // included, for every spec (hash's bounds fall back to binary search).
+  // included, for every spec.
   Table t = MakeOrders(20'000, 500, 33);
   for (const char* spec_text : {"css:16", "lcss:8", "btree:32", "ttree:16",
                                 "bin", "tbin", "interp", "hash:10"}) {
@@ -398,7 +398,8 @@ TEST(SortIndex, RangeBatchMatchesScalarRangeAcrossSpecs) {
 
 TEST(SortIndex, EveryMethodInTheSuiteServesAColumn) {
   // BuildSortIndex accepts any IndexSpec, including unordered hash (whose
-  // Range/LowerBound fall back to binary search on the sorted key list).
+  // Range/LowerBound come from a binary search on the sorted key list
+  // behind its AnyIndex adapter).
   Pcg32 rng(31);
   std::vector<uint32_t> col(8000);
   for (auto& v : col) v = rng.Below(900);

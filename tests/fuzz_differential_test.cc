@@ -95,22 +95,17 @@ TEST(FuzzDifferential, AllMethodsAgreeWithOracle) {
             << index.Name() << " trial=" << trial << " k=" << k;
         ASSERT_EQ(batch_count[p], want_count[p])
             << index.Name() << " trial=" << trial << " k=" << k;
-        // Expected duplicate-run span: ordered methods anchor an absent
-        // key's empty span at its insertion point, hash at size().
-        size_t want_begin = index.SupportsOrderedAccess() || want_count[p] > 0
-                                ? want_lower[p]
-                                : keys.size();
+        // Expected duplicate-run span: an absent key's empty span sits at
+        // its insertion point.
         ASSERT_EQ(batch_range[p],
-                  (PositionRange{want_begin, want_begin + want_count[p]}))
+                  (PositionRange{want_lower[p], want_lower[p] + want_count[p]}))
             << index.Name() << " trial=" << trial << " k=" << k;
         ASSERT_EQ(index.EqualRange(k), batch_range[p])
             << index.Name() << " trial=" << trial << " k=" << k;
-        if (index.SupportsOrderedAccess()) {
-          ASSERT_EQ(batch_lower[p], want_lower[p])
-              << index.Name() << " trial=" << trial << " k=" << k;
-          ASSERT_EQ(index.LowerBound(k), want_lower[p])
-              << index.Name() << " trial=" << trial << " k=" << k;
-        }
+        ASSERT_EQ(batch_lower[p], want_lower[p])
+            << index.Name() << " trial=" << trial << " k=" << k;
+        ASSERT_EQ(index.LowerBound(k), want_lower[p])
+            << index.Name() << " trial=" << trial << " k=" << k;
       }
     }
   }
@@ -140,7 +135,6 @@ TEST(FuzzDifferential, RandomBoundRangesAgreeWithOracle) {
     }
 
     for (const IndexSpec& spec : test_menu::DefaultSpecs(16, 8)) {
-      if (!spec.ordered()) continue;  // hash serves no positional bounds
       AnyIndex index = BuildIndex(spec, keys);
       ASSERT_TRUE(index) << spec.ToString();
       std::vector<size_t> pos(staged.size());
@@ -289,16 +283,11 @@ TEST(FuzzDifferential, MaintainedUpdateProbeInterleavingAcrossSpecMenu) {
             << spec.ToString() << " round=" << round << " k=" << probes[p];
         ASSERT_EQ(counts[p], want_count)
             << spec.ToString() << " round=" << round << " k=" << probes[p];
-        size_t want_begin = index.SupportsOrderedAccess() || want_count > 0
-                                ? want_lower
-                                : model.size();
         ASSERT_EQ(ranges[p],
-                  (PositionRange{want_begin, want_begin + want_count}))
+                  (PositionRange{want_lower, want_lower + want_count}))
             << spec.ToString() << " round=" << round << " k=" << probes[p];
-        if (index.SupportsOrderedAccess()) {
-          ASSERT_EQ(lower[p], want_lower)
-              << spec.ToString() << " round=" << round << " k=" << probes[p];
-        }
+        ASSERT_EQ(lower[p], want_lower)
+            << spec.ToString() << " round=" << round << " k=" << probes[p];
       }
     }
   }
@@ -319,10 +308,8 @@ TEST(FuzzDifferential, ExtremeValueKeys) {
       ASSERT_EQ(found[i], static_cast<int64_t>(i)) << index.Name();
     }
     ASSERT_EQ(index.Find(3), kNotFound) << index.Name();
-    if (index.SupportsOrderedAccess()) {
-      ASSERT_EQ(index.LowerBound(0xffffffffu), 7u) << index.Name();
-      ASSERT_EQ(index.LowerBound(0), 0u) << index.Name();
-    }
+    ASSERT_EQ(index.LowerBound(0xffffffffu), 7u) << index.Name();
+    ASSERT_EQ(index.LowerBound(0), 0u) << index.Name();
   }
 }
 

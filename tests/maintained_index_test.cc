@@ -63,10 +63,7 @@ void ExpectAllOpsMatchOracle(const MaintainedIndex& index,
     auto want_count = static_cast<size_t>(hi - lo);
     int64_t want_find =
         want_count > 0 ? static_cast<int64_t>(want_lower) : kNotFound;
-    size_t want_begin = index.SupportsOrderedAccess() || want_count > 0
-                            ? want_lower
-                            : model.size();
-    PositionRange want_range{want_begin, want_begin + want_count};
+    PositionRange want_range{want_lower, want_lower + want_count};
 
     ASSERT_EQ(found[p], want_find) << ctx << " k=" << k;
     ASSERT_EQ(found_mt[p], want_find) << ctx << " k=" << k << " @t2";
@@ -79,12 +76,10 @@ void ExpectAllOpsMatchOracle(const MaintainedIndex& index,
     ASSERT_EQ(ranges_mt[p], want_range) << ctx << " k=" << k << " @t2";
     ASSERT_EQ(index.EqualRange(k), want_range) << ctx << " k=" << k
                                                << " scalar";
-    if (index.SupportsOrderedAccess()) {
-      ASSERT_EQ(lower[p], want_lower) << ctx << " k=" << k;
-      ASSERT_EQ(lower_mt[p], want_lower) << ctx << " k=" << k << " @t2";
-      ASSERT_EQ(index.LowerBound(k), want_lower) << ctx << " k=" << k
-                                                 << " scalar";
-    }
+    ASSERT_EQ(lower[p], want_lower) << ctx << " k=" << k;
+    ASSERT_EQ(lower_mt[p], want_lower) << ctx << " k=" << k << " @t2";
+    ASSERT_EQ(index.LowerBound(k), want_lower) << ctx << " k=" << k
+                                               << " scalar";
   }
 }
 

@@ -241,8 +241,20 @@ TEST(NodeSearchDispatch, CrossPathBitIdenticalAcrossSpecMenu) {
       index.FindBatch(probes, find_scalar);
       index.EqualRangeBatch(probes, range_scalar);
       index.CountEqualBatch(probes, count_scalar);
-      if (index.SupportsOrderedAccess()) {
-        index.LowerBoundBatch(probes, lower_scalar);
+      index.LowerBoundBatch(probes, lower_scalar);
+      // The scalar path is the reference every other path must match; it
+      // in turn matches the STL oracle, for every spec.
+      for (size_t p = 0; p < probes.size(); ++p) {
+        auto lo = std::lower_bound(keys.begin(), keys.end(), probes[p]);
+        auto hi = std::upper_bound(keys.begin(), keys.end(), probes[p]);
+        const PositionRange want{static_cast<size_t>(lo - keys.begin()),
+                                 static_cast<size_t>(hi - keys.begin())};
+        ASSERT_EQ(lower_scalar[p], want.begin)
+            << index.Name() << " trial=" << trial << " k=" << probes[p];
+        ASSERT_EQ(range_scalar[p], want)
+            << index.Name() << " trial=" << trial << " k=" << probes[p];
+        ASSERT_EQ(count_scalar[p], want.size())
+            << index.Name() << " trial=" << trial << " k=" << probes[p];
       }
       ForEachPath([&](NodeSearchPath path) {
         if (path == NodeSearchPath::kScalar) return;
@@ -258,12 +270,10 @@ TEST(NodeSearchDispatch, CrossPathBitIdenticalAcrossSpecMenu) {
         ASSERT_EQ(count_path, count_scalar)
             << index.Name() << " trial=" << trial << " path="
             << NodeSearchPathName(path);
-        if (index.SupportsOrderedAccess()) {
-          index.LowerBoundBatch(probes, lower_path);
-          ASSERT_EQ(lower_path, lower_scalar)
-              << index.Name() << " trial=" << trial << " path="
-              << NodeSearchPathName(path);
-        }
+        index.LowerBoundBatch(probes, lower_path);
+        ASSERT_EQ(lower_path, lower_scalar)
+            << index.Name() << " trial=" << trial << " path="
+            << NodeSearchPathName(path);
       });
     }
     SetNodeSearchPath(DetectedNodeSearchPath());

@@ -1,8 +1,8 @@
 // Partition-boundary differential suite: every "part:K/<inner>" spec must
-// be result-identical to the bare inner spec across the full batch-op
-// surface — FindBatch / LowerBoundBatch / EqualRangeBatch /
-// CountEqualBatch — whatever the fence table, probe bucketing, and
-// shard-local kernels do underneath. The inputs are chosen to be
+// be result-identical to the bare inner spec, and both to the STL oracle,
+// across the full batch-op surface — FindBatch / LowerBoundBatch /
+// EqualRangeBatch / CountEqualBatch — whatever the fence table, probe
+// bucketing, and shard-local kernels do underneath. The inputs are chosen to be
 // adversarial for a range-partitioned composite specifically: probes
 // exactly on fence boundaries, every probe landing in one shard, K larger
 // than the number of distinct keys (empty shards), heavy duplicates whose
@@ -27,10 +27,13 @@
 namespace cssidx {
 namespace {
 
-/// Asserts that `part` answers exactly like `bare` on every batch op.
-/// `opts` applies to the partitioned side only — the bare side always
-/// probes inline, so any thread count must reproduce the inline answers.
+/// Asserts that `part` answers exactly like `bare` on every batch op, and
+/// that both match the STL oracle over `keys`, the array both were built
+/// over. `opts` applies to the partitioned side only — the bare side
+/// always probes inline, so any thread count must reproduce the inline
+/// answers.
 void ExpectSameAnswers(const AnyIndex& part, const AnyIndex& bare,
+                       const std::vector<Key>& keys,
                        const std::vector<Key>& probes,
                        const ProbeOptions& opts = ProbeOptions{},
                        const std::string& label = "") {
@@ -52,6 +55,18 @@ void ExpectSameAnswers(const AnyIndex& part, const AnyIndex& bare,
   ASSERT_EQ(part_lower, bare_lower) << part.Name() << " " << label;
   ASSERT_EQ(part_range, bare_range) << part.Name() << " " << label;
   ASSERT_EQ(part_count, bare_count) << part.Name() << " " << label;
+  for (size_t i = 0; i < n; ++i) {
+    auto lo = std::lower_bound(keys.begin(), keys.end(), probes[i]);
+    auto hi = std::upper_bound(keys.begin(), keys.end(), probes[i]);
+    const PositionRange want{static_cast<size_t>(lo - keys.begin()),
+                             static_cast<size_t>(hi - keys.begin())};
+    ASSERT_EQ(bare_lower[i], want.begin)
+        << bare.Name() << " " << label << " k=" << probes[i];
+    ASSERT_EQ(bare_range[i], want)
+        << bare.Name() << " " << label << " k=" << probes[i];
+    ASSERT_EQ(bare_count[i], want.size())
+        << bare.Name() << " " << label << " k=" << probes[i];
+  }
 }
 
 /// Probes that hug every equi-depth fence of a K-way split: the key at
@@ -108,11 +123,11 @@ TEST(PartitionedIndex, MatchesBareInnerAcrossTheFullOpSurface) {
     ASSERT_TRUE(part) << p.part.ToString();
     ASSERT_TRUE(bare) << p.inner.ToString();
     EXPECT_EQ(part.size(), bare.size());
-    EXPECT_EQ(part.SupportsOrderedAccess(), bare.SupportsOrderedAccess());
     auto with_fences = probes;
     auto boundary = FenceBoundaryProbes(keys, p.part.partitions());
     with_fences.insert(with_fences.end(), boundary.begin(), boundary.end());
-    ExpectSameAnswers(part, bare, with_fences, ProbeOptions{}, "heavy-dup");
+    ExpectSameAnswers(part, bare, keys, with_fences, ProbeOptions{},
+                      "heavy-dup");
   }
 }
 
@@ -129,7 +144,7 @@ TEST(PartitionedIndex, KeysExactlyOnFenceBoundaries) {
     ASSERT_TRUE(part) << part_spec.ToString();
     auto probes = FenceBoundaryProbes(keys, k);
     ASSERT_FALSE(probes.empty());
-    ExpectSameAnswers(part, bare, probes, ProbeOptions{},
+    ExpectSameAnswers(part, bare, keys, probes, ProbeOptions{},
                       "fences k=" + std::to_string(k));
   }
 }
@@ -143,7 +158,7 @@ TEST(PartitionedIndex, AllProbesLandInOneShard) {
   ASSERT_TRUE(part);
   for (Key target : {keys.front(), keys.back()}) {
     std::vector<Key> probes(3000, target);
-    ExpectSameAnswers(part, bare, probes, ProbeOptions{}, "one-shard");
+    ExpectSameAnswers(part, bare, keys, probes, ProbeOptions{}, "one-shard");
   }
 }
 
@@ -160,15 +175,16 @@ TEST(PartitionedIndex, MoreShardsThanDistinctKeys) {
     AnyIndex part = BuildIndex(p.part, keys);
     AnyIndex bare = BuildIndex(p.inner, keys);
     ASSERT_TRUE(part) << p.part.ToString();
-    ExpectSameAnswers(part, bare, probes, ProbeOptions{}, "few-distinct");
+    ExpectSameAnswers(part, bare, keys, probes, ProbeOptions{},
+                      "few-distinct");
   }
   // The degenerate limit: every key equal, K = 16 — one live shard.
   std::vector<Key> all_equal(500, 42);
   AnyIndex part = BuildIndex(*IndexSpec::Parse("part:16/btree:32"), all_equal);
   AnyIndex bare = BuildIndex(*IndexSpec::Parse("btree:32"), all_equal);
   ASSERT_TRUE(part);
-  ExpectSameAnswers(part, bare, {41, 42, 43, 0, 0xffffffffu}, ProbeOptions{},
-                    "all-equal");
+  ExpectSameAnswers(part, bare, all_equal, {41, 42, 43, 0, 0xffffffffu},
+                    ProbeOptions{}, "all-equal");
 }
 
 TEST(PartitionedIndex, ExtremeKeysIncludingMax) {
@@ -184,7 +200,7 @@ TEST(PartitionedIndex, ExtremeKeysIncludingMax) {
     AnyIndex part = BuildIndex(p.part, keys);
     AnyIndex bare = BuildIndex(p.inner, keys);
     ASSERT_TRUE(part) << p.part.ToString();
-    ExpectSameAnswers(part, bare, probes, ProbeOptions{}, "extreme");
+    ExpectSameAnswers(part, bare, keys, probes, ProbeOptions{}, "extreme");
   }
 }
 
@@ -209,7 +225,7 @@ TEST(PartitionedIndex, EmptyBatchAndEmptyIndex) {
     AnyIndex empty_part = BuildIndex(p.part, std::vector<Key>{});
     AnyIndex empty_bare = BuildIndex(p.inner, std::vector<Key>{});
     ASSERT_TRUE(empty_part) << p.part.ToString();
-    ExpectSameAnswers(empty_part, empty_bare, {0, 7, 0xffffffffu},
+    ExpectSameAnswers(empty_part, empty_bare, {}, {0, 7, 0xffffffffu},
                       ProbeOptions{}, "empty-index");
   }
 }
@@ -236,7 +252,7 @@ TEST(PartitionedIndex, ThreadCountsStraddleTheShardDispatchThreshold) {
       probes.insert(probes.end(), missing.begin(), missing.end());
       for (int threads : {0, 1, 2, 8}) {
         ProbeOptions opts{.threads = threads, .pool = &pool};
-        ExpectSameAnswers(part, bare, probes, opts,
+        ExpectSameAnswers(part, bare, keys, probes, opts,
                           "probes=" + std::to_string(count) +
                               " threads=" + std::to_string(threads));
       }
@@ -286,7 +302,6 @@ TEST(PartitionedIndex, StructuralInvariants) {
   ASSERT_TRUE(part.ok());
   EXPECT_EQ(part.num_shards(), 8u);
   EXPECT_EQ(part.size(), keys.size());
-  EXPECT_TRUE(part.SupportsOrderedAccess());
   EXPECT_GT(part.SpaceBytes(), 0u);
   // Shard bases are monotone, cover [0, n), and sit on duplicate-run
   // starts: the key before a base differs from the key at it.

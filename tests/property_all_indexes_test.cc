@@ -103,11 +103,8 @@ TEST_P(AllIndexesProperty, AgreesWithStlOracles) {
           << index.Name() << " n=" << n << " k=" << k;
       ASSERT_EQ(index.CountEqual(k), static_cast<size_t>(hi - lo))
           << index.Name() << " n=" << n << " k=" << k;
-      if (index.SupportsOrderedAccess()) {
-        ASSERT_EQ(index.LowerBound(k),
-                  static_cast<size_t>(lo - keys.begin()))
-            << index.Name() << " n=" << n << " k=" << k;
-      }
+      ASSERT_EQ(index.LowerBound(k), static_cast<size_t>(lo - keys.begin()))
+          << index.Name() << " n=" << n << " k=" << k;
     }
 
     // Batch ≡ scalar, over the whole probe set at once (covers the group
@@ -129,15 +126,11 @@ TEST_P(AllIndexesProperty, AgreesWithStlOracles) {
           << index.Name() << " n=" << n << " i=" << i;
       ASSERT_EQ(batch_count[i], index.CountEqual(probes[i]))
           << index.Name() << " n=" << n << " i=" << i;
-      // The span is the STL equal_range, modulo hash's size() anchor for
-      // absent keys.
+      // The span is the STL equal_range.
       auto lo = std::lower_bound(keys.begin(), keys.end(), probes[i]);
       auto hi = std::upper_bound(keys.begin(), keys.end(), probes[i]);
       PositionRange want{static_cast<size_t>(lo - keys.begin()),
                          static_cast<size_t>(hi - keys.begin())};
-      if (!index.SupportsOrderedAccess() && want.empty()) {
-        want = {keys.size(), keys.size()};
-      }
       ASSERT_EQ(batch_range[i], want)
           << index.Name() << " n=" << n << " i=" << i;
     }
@@ -145,7 +138,7 @@ TEST_P(AllIndexesProperty, AgreesWithStlOracles) {
     // Random [lo, hi) bound pairs — inverted and empty included — staged
     // through the batched LowerBound kernel, as the engine stages
     // SelectRange bounds.
-    if (index.SupportsOrderedAccess() && !keys.empty()) {
+    if (!keys.empty()) {
       std::vector<Key> bounds;
       for (size_t b = 0; b + 1 < probes.size(); b += 2) {
         bounds.push_back(probes[b]);

@@ -23,16 +23,12 @@
 namespace cssidx {
 namespace {
 
-/// The contract's expected span: {lower_bound, upper_bound} for ordered
-/// methods; hash anchors absent keys' empty spans at size() instead of the
-/// insertion point (it has no notion of one).
-PositionRange OracleRange(const std::vector<Key>& keys, Key k, bool ordered) {
+/// The contract's expected span for every spec: {lower_bound, upper_bound}.
+PositionRange OracleRange(const std::vector<Key>& keys, Key k) {
   auto lo = std::lower_bound(keys.begin(), keys.end(), k);
   auto hi = std::upper_bound(keys.begin(), keys.end(), k);
-  auto begin = static_cast<size_t>(lo - keys.begin());
-  auto end = static_cast<size_t>(hi - keys.begin());
-  if (!ordered && begin == end) return {keys.size(), keys.size()};
-  return {begin, end};
+  return {static_cast<size_t>(lo - keys.begin()),
+          static_cast<size_t>(hi - keys.begin())};
 }
 
 std::vector<Key> ProbesFor(const std::vector<Key>& keys, size_t count,
@@ -55,12 +51,15 @@ void CheckRangeProbes(const AnyIndex& index, const std::vector<Key>& keys,
                       const std::string& label) {
   std::vector<PositionRange> ranges(probes.size());
   std::vector<size_t> counts(probes.size());
+  std::vector<size_t> lowers(probes.size());
   index.EqualRangeBatch(probes, ranges);
   index.CountEqualBatch(probes, counts);
+  index.LowerBoundBatch(probes, lowers);
   for (size_t i = 0; i < probes.size(); ++i) {
-    PositionRange want =
-        OracleRange(keys, probes[i], index.SupportsOrderedAccess());
+    PositionRange want = OracleRange(keys, probes[i]);
     ASSERT_EQ(ranges[i], want)
+        << label << " " << index.Name() << " i=" << i << " k=" << probes[i];
+    ASSERT_EQ(lowers[i], want.begin)
         << label << " " << index.Name() << " i=" << i << " k=" << probes[i];
     ASSERT_EQ(counts[i], want.size())
         << label << " " << index.Name() << " i=" << i << " k=" << probes[i];
