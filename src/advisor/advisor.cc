@@ -152,18 +152,22 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
   const double width = opts.key_width;
   const int K = spec.partitioned() ? spec.partitions() : 0;
 
-  // --- Probe cost: descend the (inner) structure, weighted by the mix.
-  double inner_n = K > 0 ? nn / K : nn;
-  DescentCost point = MethodDescent(spec, inner_n, width, opts);
+  // --- Probe cost: descend the structure, weighted by the mix. A part:K
+  // probe descends a K-times smaller shard, but that saves no misses: the
+  // levels that miss are the bottom ones, and K shards hold as many
+  // bottom-level nodes as one tree — only cache-resident upper levels
+  // get shorter. So the descent is priced over all n keys.
+  DescentCost point = MethodDescent(spec, nn, width, opts);
   double point_ns = Ns(point, opts);
   if (K > 0) {
     // Fence routing (binary search over K fences) plus the batch
     // scatter/gather: each probe is bucketed to its shard and its result
     // written back through an index map, and the per-shard sub-batches
     // are too small to overlap misses as well as one big group probe.
-    // Together that costs about one extra line fetch per probe — more
-    // than the ~log_m(K) descent levels the smaller shards save, which
-    // is why part:K must earn its keep on update locality, not probes.
+    // Together that costs about one extra line fetch per probe (measured
+    // at 4096-probe batches over 100K-2M keys: +15 ns for part:4/css:16,
+    // +42 ns for part:16/css:16), which is why part:K must earn its keep
+    // on update locality, not probes.
     point_ns += std::log2(std::max(2, K)) * opts.comparison_ns +
                 1.0 * opts.miss_ns;
   }
@@ -178,11 +182,6 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
   // so the hit fraction does not change the per-probe model — it matters
   // to the microbench, which replays it.
 
-  // @tN: shards each large batch. Only batches big enough to shard gain.
-  int threads = spec.probe_threads();
-  if (threads > 1 && profile.MeanBatch() >= kParallelProbeMinShard) {
-    probe_ns /= 1.0 + opts.thread_efficiency * (threads - 1);
-  }
   s.probe_ns = probe_ns;
 
   // --- Maintenance cost, amortized over observed probes. Full rebuild
@@ -198,10 +197,11 @@ ScoredSpec ScoreSpec(const IndexSpec& spec, const WorkloadProfile& profile,
     }
     double per_key = opts.rebuild_ns_per_key;
     // Hash rebuilds by re-inserting every key into random bucket lines
-    // (~an order of magnitude over the sequential merge+rebuild path);
-    // T-tree allocates and links pointer nodes.
-    if (spec.method() == Method::kHash) per_key *= 8.0;
-    if (spec.method() == Method::kTTree) per_key *= 4.0;
+    // (measured 37-65 ns/key for hash:16/hash:20 at 1M-4M keys, against
+    // about 1 for the sequential merge+rebuild path); T-tree allocates
+    // and links pointer nodes (3-7 ns/key).
+    if (spec.method() == Method::kHash) per_key *= 40.0;
+    if (spec.method() == Method::kTTree) per_key *= 6.0;
     double batch_ns = touched_keys * per_key;
     double probes = std::max<uint64_t>(profile.TotalProbes(), 1);
     s.update_ns = batch_ns * profile.update_batches / probes;

@@ -10,25 +10,29 @@ namespace cssidx {
 
 template <typename KeyT>
 std::shared_ptr<const typename BasicMaintainedIndex<KeyT>::Version>
-BasicMaintainedIndex<KeyT>::MakeVersion(
-    const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys,
-    uint64_t sequence) const {
+BasicMaintainedIndex<KeyT>::MakeVersion(const IndexSpec& spec,
+                                        typename Version::Segment keys,
+                                        uint64_t sequence) const {
   if (spec.partitioned() && spec.OnMenu() &&
       spec.key_width() == static_cast<int>(sizeof(KeyT))) {
     // Owned build: each shard's keys in their own buffer, so a later
-    // RefreshWithSortedBatch can reuse untouched shards by shared ownership.
+    // RefreshWithSortedBatch can reuse untouched shards by shared
+    // ownership. The shard buffers become the version's segments; `keys`
+    // dies here unless the caller still shares it.
     auto part = BasicPartitionedIndex<KeyT>::BuildOwned(spec, keys->data(),
                                                         keys->size());
     BasicAnyIndex<KeyT> index =
         part->ok() ? BasicAnyIndex<KeyT>(spec, part) : BasicAnyIndex<KeyT>();
     if (index) index.AttachStats(stats_collector_);
-    return std::make_shared<const Version>(std::move(keys), std::move(part),
-                                           std::move(index), sequence);
+    return std::make_shared<const Version>(part->shard_keys(),
+                                           std::move(part), std::move(index),
+                                           sequence);
   }
   BasicAnyIndex<KeyT> index = BuildIndexT<KeyT>(spec, keys->data(),
                                                 keys->size());
   if (index) index.AttachStats(stats_collector_);
-  return std::make_shared<const Version>(std::move(keys), nullptr,
+  std::vector<typename Version::Segment> segments{std::move(keys)};
+  return std::make_shared<const Version>(std::move(segments), nullptr,
                                          std::move(index), sequence);
 }
 
@@ -69,8 +73,16 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
     // extremes are at the ends. Feeds the advisor's part:K touched-shards
     // estimate (a narrow span touches few shards).
     double span_fraction = 0.0;
-    const std::vector<KeyT>& keys = old->keys();
-    if (!keys.empty() && keys.back() > keys.front()) {
+    // The key range from the first and last nonempty segments: a
+    // partitioned version is never flattened for this.
+    const auto& segments = old->segments();
+    auto first = std::find_if(segments.begin(), segments.end(),
+                              [](const auto& seg) { return !seg->empty(); });
+    auto last = std::find_if(segments.rbegin(), segments.rend(),
+                             [](const auto& seg) { return !seg->empty(); });
+    if (first != segments.end() && (*last)->back() > (*first)->front()) {
+      const KeyT key_lo = (*first)->front();
+      const KeyT key_hi = (*last)->back();
       KeyT lo = !sorted_inserts.empty() ? sorted_inserts.front()
                                         : sorted_deletes.front();
       KeyT hi = !sorted_inserts.empty() ? sorted_inserts.back()
@@ -80,7 +92,7 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
         hi = std::max(hi, sorted_deletes.back());
       }
       span_fraction = static_cast<double>(hi - lo) /
-                      static_cast<double>(keys.back() - keys.front());
+                      static_cast<double>(key_hi - key_lo);
     }
     stats_collector_->RecordUpdate(sorted_inserts.size(),
                                    sorted_deletes.size(), span_fraction);
@@ -98,16 +110,17 @@ void BasicMaintainedIndex<KeyT>::ApplySortedBatch(
     stats_.shards_rebuilt += refreshed.shards_rebuilt;
     BasicAnyIndex<KeyT> facade(spec_, refreshed.index);
     facade.AttachStats(stats_collector_);
-    fresh = std::make_shared<const Version>(std::move(refreshed.merged_keys),
+    fresh = std::make_shared<const Version>(refreshed.index->shard_keys(),
                                             refreshed.index, std::move(facade),
                                             ++sequence_);
   } else {
     ++stats_.full_rebuilds;
+    // Monolithic: the one segment is the whole array.
     fresh = MakeVersion(
         spec_,
         std::make_shared<const std::vector<KeyT>>(
-            workload::ApplySortedBatch<KeyT>(old->keys(), sorted_inserts,
-                                             sorted_deletes)),
+            workload::ApplySortedBatch<KeyT>(*old->segments().front(),
+                                             sorted_inserts, sorted_deletes)),
         ++sequence_);
   }
   Publish(std::move(fresh));
@@ -128,7 +141,15 @@ bool BasicMaintainedIndex<KeyT>::RebuildWithSpec(const IndexSpec& new_spec) {
   IndexSpec forced = new_spec.WithKeyWidth(static_cast<int>(sizeof(KeyT)));
   if (!forced.OnMenu()) return false;
   auto old = Snapshot();
-  auto fresh = MakeVersion(forced, old->keys_ptr(), sequence_ + 1);
+  // A one-segment version shares its array with the rebuild; a
+  // partitioned one is concatenated once (a full rebuild reads every key
+  // anyway).
+  auto fresh = MakeVersion(forced,
+                           old->segments().size() == 1
+                               ? old->segments().front()
+                               : std::make_shared<const std::vector<KeyT>>(
+                                     ConcatenateShards<KeyT>(old->segments())),
+                           sequence_ + 1);
   if (!fresh->index()) return false;  // builder refused the spec
   spec_ = forced;
   ++sequence_;
@@ -156,7 +177,7 @@ std::shared_ptr<ProbeStatsCollector> BasicMaintainedIndex<KeyT>::EnableStats() {
     part = std::shared_ptr<const BasicPartitionedIndex<KeyT>>(
         old, old->partitioned());
   }
-  Publish(std::make_shared<const Version>(old->keys_ptr(), std::move(part),
+  Publish(std::make_shared<const Version>(old->segments(), std::move(part),
                                           std::move(facade),
                                           old->sequence()));
   return stats_collector_;

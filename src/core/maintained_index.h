@@ -27,8 +27,8 @@
 //     slot the same way, but releases the reader's lock with a relaxed
 //     RMW — formally racy, and flagged by TSan — so this class carries
 //     its own mutex with orderings TSan can verify). The snapshot is an
-//     immutable (keys, index) pair that stays valid, and answers the
-//     full batch-probe surface, for as long as the caller holds it,
+//     immutable (key segments, index) pair that stays valid, and answers
+//     the full batch-probe surface, for as long as the caller holds it,
 //     regardless of writer activity. Old versions die with their last
 //     reader.
 //   - A SINGLE writer merges each batch via workload::ApplyBatch, builds
@@ -45,12 +45,19 @@
 // stay fixed across refreshes until equi-depth skew exceeds
 // kRebalanceSkew, which triggers one full rebuild with fresh cuts.
 //
-// Memory: every version publishes a contiguous merged key array (what
-// keys() returns and what the engine's RID lists align to); partitioned
-// versions additionally hold the per-shard buffers their inner indexes
-// point into, so a maintained part:K index carries ~2x the key bytes of
-// a bare one — the price of capping old-version retention at the shard
-// granularity instead of whole arrays.
+// Memory: a version holds its keys exactly once. A monolithic version
+// owns one contiguous array; a partitioned version's keys are its shard
+// buffers (Version::segments()), the same buffers the inner indexes point
+// into, so a maintained part:K index carries the key bytes of a bare one
+// plus the fence table. The set-up array is freed once the shards own
+// their copies, and a refresh allocates only the shards it touches —
+// untouched shard buffers are shared with the predecessor, so old-version
+// retention is capped at the shard granularity. Version::keys() still
+// returns one contiguous array for callers that want it (tests, the
+// engine's test-facing sorted_keys()); on a partitioned version it is a
+// concatenation made once, on first call, and cached with the version.
+// Nothing on the serving, engine or writer path calls it on a
+// partitioned version: those stream segments() and ask size().
 
 namespace cssidx {
 
@@ -72,21 +79,51 @@ struct MaintenanceStats {
 template <typename KeyT>
 class BasicMaintainedIndex {
  public:
-  /// An immutable published version: the merged sorted key array plus the
-  /// index built over it. For partitioned specs, partitioned() exposes
-  /// the composite for structural inspection (shard identity, fences).
+  /// An immutable published version: the sorted keys, held as segments
+  /// that concatenate in order to the full array, plus the index built
+  /// over them. A monolithic spec has one segment; a partitioned spec has
+  /// one per shard — the buffers the inner indexes point into, shared
+  /// with the composite and, for untouched shards, with the predecessor
+  /// version. For partitioned specs, partitioned() exposes the composite
+  /// for structural inspection (shard identity, fences).
   class Version {
    public:
-    Version(std::shared_ptr<const std::vector<KeyT>> keys,
+    /// One sorted run of the version's keys.
+    using Segment = std::shared_ptr<const std::vector<KeyT>>;
+
+    Version(std::vector<Segment> segments,
             std::shared_ptr<const BasicPartitionedIndex<KeyT>> part,
             BasicAnyIndex<KeyT> index, uint64_t sequence = 0)
-        : keys_(std::move(keys)), part_(std::move(part)),
-          index_(std::move(index)), sequence_(sequence) {}
+        : segments_(std::move(segments)), part_(std::move(part)),
+          index_(std::move(index)), sequence_(sequence) {
+      for (const Segment& segment : segments_) size_ += segment->size();
+    }
     Version(const Version&) = delete;
     Version& operator=(const Version&) = delete;
 
     const BasicAnyIndex<KeyT>& index() const { return index_; }
-    const std::vector<KeyT>& keys() const { return *keys_; }
+    /// Number of keys, without touching them.
+    size_t size() const { return size_; }
+    const std::vector<Segment>& segments() const { return segments_; }
+    /// Calls fn(key) for every key in sorted order, segment by segment —
+    /// the way to stream a version without materializing it.
+    template <typename Fn>
+    void ForEachKey(Fn&& fn) const {
+      for (const Segment& segment : segments_) {
+        for (KeyT k : *segment) fn(k);
+      }
+    }
+    /// The keys as one contiguous array. A one-segment version returns
+    /// its segment; a partitioned one concatenates its segments on the
+    /// first call (once, whichever thread gets there first) and caches
+    /// the copy for the version's lifetime. Serving and writer paths
+    /// stream segments() instead, so a live part:K table never pays it.
+    const std::vector<KeyT>& keys() const {
+      if (segments_.size() == 1) return *segments_.front();
+      std::call_once(flat_once_,
+                     [this] { flat_ = ConcatenateShards<KeyT>(segments_); });
+      return flat_;
+    }
     /// Non-null only for partitioned specs.
     const BasicPartitionedIndex<KeyT>* partitioned() const {
       return part_.get();
@@ -96,17 +133,16 @@ class BasicMaintainedIndex {
     /// version, so a reader can report which state its results are
     /// consistent-as-of — the serving layer's versioning contract.
     uint64_t sequence() const { return sequence_; }
-    /// Shared ownership of the merged key array — lets a spec swap rebuild
-    /// onto the same keys without copying them.
-    const std::shared_ptr<const std::vector<KeyT>>& keys_ptr() const {
-      return keys_;
-    }
 
    private:
-    std::shared_ptr<const std::vector<KeyT>> keys_;
+    std::vector<Segment> segments_;
+    size_t size_ = 0;
     std::shared_ptr<const BasicPartitionedIndex<KeyT>> part_;
     BasicAnyIndex<KeyT> index_;
     uint64_t sequence_ = 0;
+    /// keys()'s lazily built concatenation; empty until first asked for.
+    mutable std::once_flag flat_once_;
+    mutable std::vector<KeyT> flat_;
   };
 
   /// Nested alias for the shared counters type, kept so existing
@@ -218,16 +254,19 @@ class BasicMaintainedIndex {
     return Snapshot()->index().CountEqual(k);
   }
 
-  size_t size() const { return Snapshot()->keys().size(); }
+  size_t size() const { return Snapshot()->size(); }
   const IndexSpec& spec() const { return spec_; }
   const MaintenanceStats& stats() const { return stats_; }
   /// Sequence of the current version (one atomic snapshot load).
   uint64_t sequence() const { return Snapshot()->sequence(); }
 
  private:
-  /// Non-static: stamps stats_collector_ onto the fresh version's facade.
+  /// Builds a version over one contiguous key array: a monolithic spec
+  /// keeps it as its one segment, a partitioned spec copies it into shard
+  /// buffers and lets it go. Non-static: stamps stats_collector_ onto the
+  /// fresh version's facade.
   std::shared_ptr<const Version> MakeVersion(
-      const IndexSpec& spec, std::shared_ptr<const std::vector<KeyT>> keys,
+      const IndexSpec& spec, typename Version::Segment keys,
       uint64_t sequence) const;
 
   void Publish(std::shared_ptr<const Version> fresh) {

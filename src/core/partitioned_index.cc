@@ -99,7 +99,7 @@ template <typename KeyT>
 typename BasicPartitionedIndex<KeyT>::Refreshed
 BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
     std::span<const KeyT> inserts, std::span<const KeyT> deletes) const {
-  assert(owns_shard_keys() &&
+  assert(!owned_.empty() &&
          "RefreshWithSortedBatch requires a BuildOwned-produced index");
   const size_t k = shards_.size();
 
@@ -144,7 +144,8 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
     ++out.shards_rebuilt;
   }
 
-  // New layout, plus the contiguous merged array snapshots publish.
+  // New layout: shard sizes only, no key is copied outside the touched
+  // shards.
   std::vector<size_t> bases(k + 1, 0);
   size_t max_len = 0;
   for (size_t s = 0; s < k; ++s) {
@@ -152,18 +153,14 @@ BasicPartitionedIndex<KeyT>::RefreshWithSortedBatch(
     max_len = std::max(max_len, buffers[s]->size());
   }
   const size_t total = bases[k];
-  auto merged = std::make_shared<std::vector<KeyT>>();
-  merged->reserve(total);
-  for (const auto& buffer : buffers) {
-    merged->insert(merged->end(), buffer->begin(), buffer->end());
-  }
-  out.merged_keys = merged;
 
   // Equi-depth skew gate: a drifting workload (e.g. append-heavy inserts
   // all landing in one shard) eventually concentrates the array behind a
-  // few fences; rebuild with fresh cuts before routing degenerates.
+  // few fences; rebuild with fresh cuts before routing degenerates. The
+  // only refresh that needs the keys contiguous, and a rare one.
   if (total > 0 && max_len * k > kRebalanceSkew * total) {
-    out.index = BuildOwned(spec_, merged->data(), merged->size());
+    const std::vector<KeyT> merged = ConcatenateShards<KeyT>(buffers);
+    out.index = BuildOwned(spec_, merged.data(), merged.size());
     out.shards_rebuilt = k;
     out.rebalanced = true;
     return out;
@@ -373,11 +370,9 @@ size_t BasicPartitionedIndex<KeyT>::SpaceBytes() const {
   for (const BasicAnyIndex<KeyT>& shard : shards_) {
     total += shard.SpaceBytes();
   }
-  // Owned (maintained-path) indexes hold a per-shard copy of the keys on
-  // top of whatever contiguous array the snapshot publishes.
-  for (const auto& buffer : owned_) {
-    total += buffer->capacity() * sizeof(KeyT);
-  }
+  // Owned shard buffers are not counted: they ARE the sorted array (a
+  // maintained version publishes them as its key segments), and
+  // SpaceBytes is the bytes beyond it.
   return total;
 }
 

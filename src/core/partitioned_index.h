@@ -80,11 +80,13 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// kept as-is unless the refresh leaves the largest shard more than
   /// kRebalanceSkew times the equi-depth target, in which case the whole
   /// structure is rebuilt with fresh equi-depth fences.
+  ///
+  /// The refresh allocates nothing but the touched shards' buffers and
+  /// directories: the successor's keys are its shard buffers
+  /// (shard_keys()), which callers publish as a version's key segments
+  /// instead of one contiguous copy.
   struct Refreshed {
     std::shared_ptr<const BasicPartitionedIndex> index;
-    /// The full merged key array, contiguous, for callers that publish a
-    /// (keys, index) snapshot pair.
-    std::shared_ptr<const std::vector<KeyT>> merged_keys;
     size_t shards_rebuilt = 0;
     bool rebalanced = false;
   };
@@ -135,9 +137,13 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// width. (The old single-width scheme fenced them at 2^32, a sentinel
   /// no uint32 probe could reach but every 64-bit key above 2^32 could.)
   std::span<const KeyT> fences() const { return fences_; }
-  /// True for BuildOwned/RefreshWithSortedBatch products (the refreshable
-  /// kind).
-  bool owns_shard_keys() const { return !owned_.empty(); }
+  /// The owned per-shard key buffers, in shard order: concatenated, they
+  /// are the whole sorted array. Non-empty exactly for BuildOwned and
+  /// RefreshWithSortedBatch products (the refreshable kind).
+  const std::vector<std::shared_ptr<const std::vector<KeyT>>>& shard_keys()
+      const {
+    return owned_;
+  }
 
  private:
   /// Uninitialized shell for the factory/refresh paths.
@@ -164,6 +170,22 @@ class BasicPartitionedIndex final : public BasicAnyIndex<KeyT>::Impl {
   /// pass both to the successor and the buffer dies with its last user.
   std::vector<std::shared_ptr<const std::vector<KeyT>>> owned_;
 };
+
+/// Shard key buffers concatenated, in order, into one contiguous array —
+/// for the few callers that need the keys flat (a rebalance, a spec swap
+/// away from part:K, Version::keys()).
+template <typename KeyT>
+std::vector<KeyT> ConcatenateShards(
+    std::span<const std::shared_ptr<const std::vector<KeyT>>> shards) {
+  size_t total = 0;
+  for (const auto& shard : shards) total += shard->size();
+  std::vector<KeyT> flat;
+  flat.reserve(total);
+  for (const auto& shard : shards) {
+    flat.insert(flat.end(), shard->begin(), shard->end());
+  }
+  return flat;
+}
 
 using PartitionedIndex = BasicPartitionedIndex<Key>;
 using PartitionedIndex64 = BasicPartitionedIndex<Key64>;

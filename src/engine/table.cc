@@ -108,18 +108,16 @@ void SortIndex::ApplyAppend(std::span<const uint32_t> values, Rid first_rid) {
   });
   // Merge the RID permutation to match the key merge ApplySortedBatch
   // performs: existing rows win ties (their RIDs are smaller by
-  // construction). The sorted value list falls out of the same pass.
-  const std::vector<uint32_t>& old_keys = head_->keys();
-  std::vector<Rid> merged(old_keys.size() + m);
+  // construction), so appended rows go ahead of an existing key only
+  // when strictly below it. The old keys stream segment by segment.
+  std::vector<Rid> merged(head_->size() + m);
   std::vector<uint32_t> sorted_values(m);
   for (size_t j = 0; j < m; ++j) sorted_values[j] = values[order[j]];
   size_t i = 0, j = 0, at = 0;
-  while (i < old_keys.size() && j < m) {
-    merged[at++] = old_keys[i] <= sorted_values[j]
-                       ? rids_[i++]
-                       : first_rid + order[j++];
-  }
-  while (i < old_keys.size()) merged[at++] = rids_[i++];
+  head_->ForEachKey([&](uint32_t k) {
+    while (j < m && sorted_values[j] < k) merged[at++] = first_rid + order[j++];
+    merged[at++] = rids_[i++];
+  });
   while (j < m) merged[at++] = first_rid + order[j++];
 
   maintained_->ApplySortedBatch(std::move(sorted_values), {});
@@ -131,9 +129,9 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
                             std::span<const Rid> remap,
                             std::span<const uint32_t> appended,
                             Rid first_rid) {
-  const std::vector<uint32_t>& old_keys = head_->keys();
-  assert(deleted.size() == old_keys.size());
-  assert(remap.size() == old_keys.size());
+  const size_t n = head_->size();
+  assert(deleted.size() == n);
+  assert(remap.size() == n);
 
   // Stage the appended rows exactly as ApplyAppend does: stably
   // value-sorted, so equal appended values keep RID order.
@@ -144,38 +142,47 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
     return appended[a] < appended[b];
   });
 
-  // Walk the old sorted list one duplicate run at a time. An untouched
-  // run survives in place (RIDs remapped); a run with any deleted row
-  // becomes one delete of the run's value — the batch language removes
-  // EVERY occurrence — plus reinserts of the surviving copies. Runs are
-  // distinct ascending values, so the delete list comes out sorted, and
-  // a value never lands on both the survivor and the reinsert side.
+  // Walk the old sorted list one duplicate run at a time, streaming the
+  // key segments. An untouched run survives in place (RIDs remapped); a
+  // run with any deleted row becomes one delete of the run's value — the
+  // batch language removes EVERY occurrence — plus reinserts of the
+  // surviving copies. Runs are distinct ascending values, so the delete
+  // list comes out sorted, and a value never lands on both the survivor
+  // and the reinsert side.
   std::vector<uint32_t> survivor_keys, reinsert_keys, delete_keys;
   std::vector<Rid> survivor_rids, reinsert_rids;
-  survivor_keys.reserve(old_keys.size());
-  survivor_rids.reserve(old_keys.size());
-  size_t i = 0;
-  while (i < old_keys.size()) {
-    const uint32_t v = old_keys[i];
-    size_t end = i + 1;
-    while (end < old_keys.size() && old_keys[end] == v) ++end;
+  survivor_keys.reserve(n);
+  survivor_rids.reserve(n);
+  auto close_run = [&](size_t begin, size_t end, uint32_t v) {
     bool touched = false;
-    for (size_t p = i; p < end && !touched; ++p) touched = deleted[rids_[p]];
+    for (size_t p = begin; p < end && !touched; ++p) {
+      touched = deleted[rids_[p]];
+    }
     if (!touched) {
-      for (size_t p = i; p < end; ++p) {
+      for (size_t p = begin; p < end; ++p) {
         survivor_keys.push_back(v);
         survivor_rids.push_back(remap[rids_[p]]);
       }
-    } else {
-      delete_keys.push_back(v);
-      for (size_t p = i; p < end; ++p) {
-        if (deleted[rids_[p]]) continue;
-        reinsert_keys.push_back(v);
-        reinsert_rids.push_back(remap[rids_[p]]);
-      }
+      return;
     }
-    i = end;
-  }
+    delete_keys.push_back(v);
+    for (size_t p = begin; p < end; ++p) {
+      if (deleted[rids_[p]]) continue;
+      reinsert_keys.push_back(v);
+      reinsert_rids.push_back(remap[rids_[p]]);
+    }
+  };
+  size_t run = 0, at = 0;
+  uint32_t run_value = 0;
+  head_->ForEachKey([&](uint32_t k) {
+    if (at > run && k != run_value) {
+      close_run(run, at, run_value);
+      run = at;
+    }
+    run_value = k;
+    ++at;
+  });
+  if (at > run) close_run(run, at, run_value);
 
   // Merge reinserted survivors with the sorted appends into one insert
   // list. Both sides are value-sorted; on ties the reinserts go first —
@@ -229,16 +236,9 @@ void SortIndex::ApplyUpdate(const std::vector<bool>& deleted,
 }
 
 std::vector<Rid> SortIndex::Equal(uint32_t v) const {
-  std::vector<Rid> out;
-  int64_t found = head_->index().Find(v);
-  if (found == kNotFound) return out;
-  const std::vector<uint32_t>& keys = head_->keys();
-  auto pos = static_cast<size_t>(found);
-  while (pos < keys.size() && keys[pos] == v) {
-    out.push_back(rids_[pos]);
-    ++pos;
-  }
-  return out;
+  const PositionRange run = head_->index().EqualRange(v);
+  return std::vector<Rid>(rids_.begin() + static_cast<ptrdiff_t>(run.begin),
+                          rids_.begin() + static_cast<ptrdiff_t>(run.end));
 }
 
 std::vector<Rid> SortIndex::Range(uint32_t lo, uint32_t hi) const {
@@ -278,13 +278,17 @@ size_t SortIndex::SpaceBytes() const {
   // Size-based, not capacity-based: what the contents occupy, which is
   // the quantity the §5 space model predicts. Capacity slack (e.g. from
   // push_back-grown external-merge output) belongs to ReservedBytes().
-  return head_->keys().size() * sizeof(uint32_t) +
-         rids_.size() * sizeof(Rid) + head_->index().SpaceBytes();
+  return head_->size() * sizeof(uint32_t) + rids_.size() * sizeof(Rid) +
+         head_->index().SpaceBytes();
 }
 
 size_t SortIndex::ReservedBytes() const {
-  return head_->keys().capacity() * sizeof(uint32_t) +
-         rids_.capacity() * sizeof(Rid) + head_->index().SpaceBytes();
+  size_t key_capacity = 0;
+  for (const auto& segment : head_->segments()) {
+    key_capacity += segment->capacity();
+  }
+  return key_capacity * sizeof(uint32_t) + rids_.capacity() * sizeof(Rid) +
+         head_->index().SpaceBytes();
 }
 
 Table::Table(const TableOptions& options)

@@ -248,6 +248,9 @@ class SortIndex {
     head_->index().EqualRangeBatch(keys, out, opts);
   }
 
+  /// The sorted keys as one array. On a part:K spec the first call
+  /// concatenates the shards (see MaintainedIndex::Version::keys()); the
+  /// engine's own paths stream the version instead.
   const std::vector<uint32_t>& sorted_keys() const { return head_->keys(); }
   const std::vector<Rid>& rids() const { return rids_; }
   const IndexSpec& spec() const { return maintained_->spec(); }
@@ -276,9 +279,9 @@ class SortIndex {
   SortIndex() = default;
 
   std::vector<Rid> rids_;
-  /// Owns the sorted key array and the search structure, versioned. The
-  /// head_ cache is the writer's view of the current version: position i
-  /// of head_->keys() pairs with rids_[i].
+  /// Owns the sorted keys and the search structure, versioned. The head_
+  /// cache is the writer's view of the current version: the i-th key of
+  /// its segments, in order, pairs with rids_[i].
   std::unique_ptr<MaintainedIndex> maintained_;
   std::shared_ptr<const MaintainedIndex::Version> head_;
   bool external_build_ = false;

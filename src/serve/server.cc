@@ -82,7 +82,7 @@ struct IntTable {
     /// clamps to end-of-array instead of erroring, so
     /// "RANGE t 0 4294967296" covers a whole 32-bit table.
     size_t Position(uint64_t bound) const {
-      if (bound > std::numeric_limits<KeyT>::max()) return snap->keys().size();
+      if (bound > std::numeric_limits<KeyT>::max()) return snap->size();
       return snap->index().LowerBound(static_cast<KeyT>(bound));
     }
     auto JoinKeyMap(const View&) const {
@@ -251,8 +251,8 @@ struct StringTable {
       // anyway, so there is nothing incremental to salvage.
       std::shared_ptr<const MaintainedIndex::Version> snap = index->Snapshot();
       std::vector<uint32_t> remapped;
-      remapped.reserve(snap->keys().size());
-      for (uint32_t id : snap->keys()) remapped.push_back(remap[id]);
+      remapped.reserve(snap->size());
+      snap->ForEachKey([&](uint32_t id) { remapped.push_back(remap[id]); });
       index->Rebuild(
           workload::ApplySortedBatch(remapped, insert_ids, delete_ids));
     }
@@ -589,23 +589,27 @@ StatementResult Session::ExecuteOn(const Table& table, uint32_t table_id,
       const typename Table::View outer = table.Read();
       const typename Table::View inner = inner_table->Read();
       const auto to_inner = inner.JoinKeyMap(outer);
-      const std::vector<Key>& outer_keys = outer.ids().keys();
       constexpr size_t kBlock = 4096;
-      std::vector<Key> block(std::min(outer_keys.size(), kBlock));
+      const size_t outer_size = outer.ids().size();
+      std::vector<Key> block(std::min(outer_size, kBlock));
       std::vector<size_t> counts(block.size());
-      for (size_t base = 0; base < outer_keys.size(); base += kBlock) {
-        const size_t len = std::min(outer_keys.size() - base, kBlock);
-        for (size_t i = 0; i < len; ++i) {
-          block[i] = to_inner(outer_keys[base + i]);
-        }
+      size_t len = 0;
+      auto flush = [&] {
         inner.ids().index().CountEqualBatch(
             std::span<const Key>(block.data(), len),
             std::span<size_t>(counts.data(), len));
         for (size_t i = 0; i < len; ++i) result.count += counts[i];
-      }
+        len = 0;
+      };
+      // Streamed segment by segment: a part:K outer is never flattened.
+      outer.ids().ForEachKey([&](Key k) {
+        block[len++] = to_inner(k);
+        if (len == kBlock) flush();
+      });
+      if (len > 0) flush();
       result.version = outer.ids().sequence();
       result.version2 = inner.ids().sequence();
-      bump_probes(outer_keys.size());
+      bump_probes(outer_size);
       return result;
     }
     case Verb::kAdvise: {
@@ -624,7 +628,7 @@ StatementResult Session::ExecuteOn(const Table& table, uint32_t table_id,
       opts.space_budget_bytes = server_->options_.advise_space_budget_bytes;
       opts.key_width = sizeof(Key);
       advisor::Recommendation rec = advisor::Advise(
-          collector->Profile(), view.ids().keys().size(), opts);
+          collector->Profile(), view.ids().size(), opts);
       if (!rec.ok) return Failed(StatementStatus::kUnsupported, rec.error);
       result.version = view.ids().sequence();
       result.advice = rec.rationale;

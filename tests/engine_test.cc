@@ -1073,5 +1073,51 @@ TEST(SortIndex, SpaceBytesReportsContentsNotCapacity) {
                std::invalid_argument);
 }
 
+// A part:K sort index keeps its keys once, as shard segments: after
+// appends and deletes it answers like the flat spec, and SpaceBytes counts
+// the key bytes once (it used to count a contiguous copy and the shard
+// copies both), so the two differ only by directory bytes.
+TEST(SortIndex, PartitionedAppendDeleteMatchesFlatAndCountsKeysOnce) {
+  Pcg32 rng(0x9a4c);
+  std::vector<uint32_t> col(12'000);
+  for (auto& v : col) v = rng.Below(3'000);  // duplicate runs
+  Table flat_table, part_table;
+  flat_table.AddColumn("k", col);
+  part_table.AddColumn("k", col);
+  flat_table.BuildSortIndex("k", *IndexSpec::Parse("css:16"));
+  part_table.BuildSortIndex("k", *IndexSpec::Parse("part:4/css:16"));
+  for (int round = 0; round < 4; ++round) {
+    std::vector<uint32_t> fresh_rows(500);
+    // Appends land in the top shard's range only on even rounds.
+    for (auto& v : fresh_rows) {
+      v = round % 2 == 0 ? 2'900 + rng.Below(100) : rng.Below(3'000);
+    }
+    flat_table.AppendRows({{"k", fresh_rows}});
+    part_table.AppendRows({{"k", fresh_rows}});
+    std::vector<Rid> doomed(300);
+    for (auto& r : doomed) {
+      r = rng.Below(static_cast<uint32_t>(flat_table.NumRows()));
+    }
+    flat_table.DeleteRows(doomed);
+    part_table.DeleteRows(doomed);
+  }
+  const SortIndex& flat = flat_table.GetSortIndex("k");
+  const SortIndex& part = part_table.GetSortIndex("k");
+  ASSERT_EQ(part.maintained().Snapshot()->segments().size(), 4u);
+  EXPECT_GE(part.maintained().stats().incremental_refreshes, 1u);
+  ASSERT_EQ(part.rids(), flat.rids());
+  for (uint32_t v : {0u, 17u, 1'500u, 2'950u, 2'999u, 3'000u}) {
+    ASSERT_EQ(part.Equal(v), flat.Equal(v)) << v;
+  }
+  ASSERT_EQ(part.Range(100, 2'000), flat.Range(100, 2'000));
+  ASSERT_EQ(part.sorted_keys(), flat.sorted_keys());
+
+  const double key_bytes =
+      static_cast<double>(flat.sorted_keys().size() * sizeof(uint32_t));
+  EXPECT_NEAR(static_cast<double>(part.SpaceBytes()),
+              static_cast<double>(flat.SpaceBytes()), key_bytes / 8);
+  EXPECT_GE(part.ReservedBytes(), part.SpaceBytes());
+}
+
 }  // namespace
 }  // namespace cssidx::engine

@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -361,6 +363,142 @@ TEST(MaintainedIndex, SkewTriggersRebalanceWithFreshFences) {
   EXPECT_LE(max_len * part->num_shards(), 2 * model.size());
   ExpectAllOpsMatchOracle(index, model, MakeProbes(rng, model, 200),
                           "post-rebalance");
+}
+
+// ---------------------------------------------------------------------
+// The version contract: a part:K version's keys are its shard buffers
+// (segments), a refresh allocates only the touched ones, size() never
+// touches keys, and keys() concatenates once per version, race-free.
+
+template <typename KeyT>
+void ExpectRefreshSharesUntouchedSegments(const char* spec_text) {
+  const IndexSpec spec = *IndexSpec::Parse(spec_text);
+  Pcg32 rng(0x5e65);
+  std::vector<KeyT> model(8'192);
+  // Width-8 keys sit above 2^32, so the 64-bit path is really exercised.
+  const KeyT base = sizeof(KeyT) == 8 ? static_cast<KeyT>(1ull << 32) : 0;
+  for (size_t i = 0; i < model.size(); ++i) {
+    model[i] = static_cast<KeyT>(base + 4 * i);
+  }
+  BasicMaintainedIndex<KeyT> index(spec, model);
+  ASSERT_TRUE(index.ok()) << spec_text;
+  for (int round = 0; round < 12; ++round) {
+    auto before = index.Snapshot();
+    const BasicPartitionedIndex<KeyT>* part = before->partitioned();
+    ASSERT_NE(part, nullptr);
+    const size_t k = part->num_shards();
+    ASSERT_EQ(before->segments().size(), k);
+    // A batch confined to one or two neighbouring shards' key range.
+    const size_t s0 = rng.Below(static_cast<uint32_t>(k - 1));
+    const size_t lo_pos = part->ShardBase(s0);
+    const size_t hi_pos = part->ShardBase(s0 + 2);
+    ASSERT_LT(lo_pos, hi_pos);
+    const KeyT lo = model[lo_pos];
+    const KeyT span = static_cast<KeyT>(model[hi_pos - 1] - lo);
+    workload::BasicUpdateBatch<KeyT> batch;
+    for (int i = 0; i < 20; ++i) {
+      batch.inserts.push_back(
+          static_cast<KeyT>(lo + rng.Below(static_cast<uint32_t>(span) + 1)));
+      batch.deletes.push_back(model[lo_pos + rng.Below(static_cast<uint32_t>(
+                                                  hi_pos - lo_pos))]);
+    }
+    std::set<size_t> touched;
+    for (KeyT key : batch.inserts) touched.insert(part->ShardOf(key));
+    for (KeyT key : batch.deletes) touched.insert(part->ShardOf(key));
+    model = workload::ApplyBatch(model, batch);
+    index.ApplyBatch(batch);
+    ASSERT_EQ(index.stats().rebalances, 0u) << spec_text;
+
+    auto after = index.Snapshot();
+    const std::string ctx =
+        std::string(spec_text) + " round=" + std::to_string(round);
+    ASSERT_EQ(after->segments().size(), k) << ctx;
+    for (size_t s = 0; s < k; ++s) {
+      // The segments are the shard buffers the inner indexes point into.
+      EXPECT_EQ(after->segments()[s], after->partitioned()->shard_keys()[s])
+          << ctx << " shard " << s;
+      if (touched.count(s) == 0) {
+        EXPECT_EQ(after->segments()[s].get(), before->segments()[s].get())
+            << ctx << " untouched shard " << s << " was copied";
+      } else {
+        EXPECT_NE(after->segments()[s].get(), before->segments()[s].get())
+            << ctx << " touched shard " << s << " was not rewritten";
+      }
+    }
+    ASSERT_EQ(after->size(), model.size()) << ctx;
+    ASSERT_EQ(after->keys(), model) << ctx;
+  }
+}
+
+TEST(MaintainedIndexVersion, RefreshSharesUntouchedSegmentsPart16Css16) {
+  ExpectRefreshSharesUntouchedSegments<Key>("part:16/css:16");
+}
+
+TEST(MaintainedIndexVersion, RefreshSharesUntouchedSegmentsPart8Css64) {
+  ExpectRefreshSharesUntouchedSegments<Key64>("part:8/css64:16");
+}
+
+TEST(MaintainedIndexVersion, MonolithicVersionIsOneSegment) {
+  auto keys = workload::DistinctSortedKeys(1'000, 3, 4);
+  MaintainedIndex index(*IndexSpec::Parse("css:16"), keys);
+  auto snap = index.Snapshot();
+  ASSERT_EQ(snap->segments().size(), 1u);
+  EXPECT_EQ(&snap->keys(), snap->segments().front().get());
+  EXPECT_EQ(snap->size(), keys.size());
+}
+
+// A spec swap away from part:K flattens the segments once; a swap back
+// splits them again. Both publish the same keys and answer every op.
+TEST(MaintainedIndexVersion, SpecSwapsAcrossPartitioningKeepTheKeys) {
+  Pcg32 rng(0x5a49);
+  std::vector<Key> model = workload::KeysWithDuplicates(3'000, 40, 11);
+  MaintainedIndex index(*IndexSpec::Parse("part:8/css:16"), model);
+  workload::UpdateBatch batch = EdgeCaseBatch(rng, model, 5);
+  model = workload::ApplyBatch(model, batch);
+  index.ApplyBatch(batch);
+  ASSERT_TRUE(index.RebuildWithSpec(*IndexSpec::Parse("css:16")));
+  EXPECT_EQ(index.Snapshot()->segments().size(), 1u);
+  ExpectAllOpsMatchOracle(index, model, MakeProbes(rng, model, 120),
+                          "part:8 -> css:16");
+  ASSERT_TRUE(index.RebuildWithSpec(*IndexSpec::Parse("part:4/css:16")));
+  EXPECT_EQ(index.Snapshot()->segments().size(), 4u);
+  ExpectAllOpsMatchOracle(index, model, MakeProbes(rng, model, 120),
+                          "css:16 -> part:4");
+}
+
+// keys() on a partitioned version concatenates lazily under a once flag:
+// concurrent first calls (the TSan lane's target) must all get the one
+// cached array.
+TEST(MaintainedIndexVersion, ConcurrentKeysCallsShareOneArray) {
+  for (const char* spec_text : {"part:16/css:16", "part:8/css64:16"}) {
+    const IndexSpec spec = *IndexSpec::Parse(spec_text);
+    auto run = [&](auto index) {
+      auto snap = index->Snapshot();
+      std::vector<const void*> seen(4, nullptr);
+      std::vector<size_t> sizes(4, 0);
+      std::vector<std::thread> threads;
+      for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+          seen[t] = &snap->keys();
+          sizes[t] = snap->keys().size();
+        });
+      }
+      for (auto& t : threads) t.join();
+      for (size_t t = 0; t < 4; ++t) {
+        EXPECT_EQ(seen[t], seen[0]) << spec_text << " thread " << t;
+        EXPECT_EQ(sizes[t], snap->size()) << spec_text << " thread " << t;
+      }
+      EXPECT_TRUE(std::is_sorted(snap->keys().begin(), snap->keys().end()));
+    };
+    if (spec.key_width() == 8) {
+      std::vector<Key64> keys(5'000);
+      for (size_t i = 0; i < keys.size(); ++i) keys[i] = (1ull << 33) + 3 * i;
+      run(std::make_unique<MaintainedIndex64>(spec, keys));
+    } else {
+      run(std::make_unique<MaintainedIndex>(
+          spec, workload::DistinctSortedKeys(5'000, 3, 4)));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "advisor/advisor.h"
 #include "gtest/gtest.h"
 #include "serve/statement.h"
 #include "serve/update_queue.h"
@@ -726,6 +727,130 @@ TEST(Server, JoinIsConsistentAcrossTwoSnapshots) {
     }
     ASSERT_EQ(joins[i].count, expected) << "join " << i;
   }
+}
+
+// --------------------------------------------- part:K tables, streamed
+// Verbs on a part:K table never flatten its version: JOIN streams the
+// outer's shard segments, RANGE clamps with size(), ADVISE sizes with
+// size(). Each is checked against an oracle over the same keys.
+
+/// Applies one INSERT and one DELETE with disjoint values (so coalescing
+/// order cannot matter) to `table`, and mirrors them into `model`.
+void ChurnOnce(Session& session, const char* table,
+               std::vector<uint32_t>* model, uint32_t insert_at,
+               uint32_t delete_value) {
+  std::vector<uint32_t> inserts{insert_at, insert_at, insert_at + 1};
+  ASSERT_TRUE(session.Execute(KeysStatement("INSERT", table, inserts)).ok());
+  ASSERT_TRUE(
+      session.Execute(KeysStatement("DELETE", table, {delete_value})).ok());
+  workload::UpdateBatch batch;
+  batch.inserts = inserts;
+  batch.deletes = {delete_value};
+  *model = workload::ApplyBatch(*model, batch);
+}
+
+TEST(Server, JoinBetweenPartitionedTablesMatchesOracle) {
+  const IndexSpec part = *IndexSpec::Parse("part:4/css:16");
+  Pcg32 rng(0x9a17);
+  // Over two of JOIN's 4096-key probe blocks, so full and partial blocks
+  // both stream across shard segment boundaries.
+  std::vector<uint32_t> outer_keys(9'000), inner_keys(2'000);
+  for (auto& k : outer_keys) k = rng.Below(500);
+  for (auto& k : inner_keys) k = rng.Below(500);
+  Server server;
+  server.CreateTable("outer", outer_keys, part);
+  server.CreateTable("inner", inner_keys, part);
+  server.CreateTable("outer_flat", outer_keys);
+  server.CreateTable("inner_flat", inner_keys);
+  std::sort(outer_keys.begin(), outer_keys.end());
+  std::sort(inner_keys.begin(), inner_keys.end());
+  // A refresh first, so the outer version mixes reused and rebuilt shards.
+  server.Start();
+  Session session = server.OpenSession();
+  std::vector<uint32_t> flat_outer = outer_keys, flat_inner = inner_keys;
+  ChurnOnce(session, "outer", &outer_keys, 600, outer_keys.front());
+  ChurnOnce(session, "outer_flat", &flat_outer, 600, flat_outer.front());
+  ChurnOnce(session, "inner", &inner_keys, 17, 499);
+  ChurnOnce(session, "inner_flat", &flat_inner, 17, 499);
+  server.Stop();
+  ASSERT_EQ(server.TableSnapshot("outer")->segments().size(), 4u);
+
+  uint64_t expected = 0;
+  for (uint32_t k : outer_keys) {
+    expected += std::upper_bound(inner_keys.begin(), inner_keys.end(), k) -
+                std::lower_bound(inner_keys.begin(), inner_keys.end(), k);
+  }
+  StatementResult join = session.Execute("JOIN outer inner");
+  ASSERT_TRUE(join.ok()) << join.error;
+  EXPECT_EQ(join.count, expected);
+  StatementResult flat = session.Execute("JOIN outer_flat inner_flat");
+  ASSERT_TRUE(flat.ok()) << flat.error;
+  EXPECT_EQ(flat.count, expected);
+  EXPECT_EQ(session.Execute("JOIN outer inner_flat").count, expected);
+}
+
+TEST(Server, RangePastWidthOnPartitionedTableClampsToSize) {
+  Pcg32 rng(0x2a32);
+  std::vector<uint32_t> keys(4'000);
+  for (auto& k : keys) k = rng.Next();
+  keys.push_back(UINT32_MAX);
+  Server server;
+  server.CreateTable("t", keys, *IndexSpec::Parse("part:4/css:16"));
+  std::sort(keys.begin(), keys.end());
+  server.Start();
+  Session session = server.OpenSession();
+  ChurnOnce(session, "t", &keys, 12'345, keys[keys.size() / 2]);
+  server.Stop();
+
+  for (uint64_t lo : {uint64_t{0}, uint64_t{keys[1'000]}, uint64_t{UINT32_MAX},
+                      uint64_t{1} << 32}) {
+    for (const char* hi : {"4294967296", "99999999999"}) {
+      StatementResult res = session.Execute("RANGE t " + std::to_string(lo) +
+                                            " " + hi);
+      ASSERT_TRUE(res.ok()) << res.error;
+      if (lo > UINT32_MAX) {
+        EXPECT_EQ(res.count, 0u) << "lo=" << lo << " hi=" << hi;
+        continue;
+      }
+      const size_t want_begin = static_cast<size_t>(
+          std::lower_bound(keys.begin(), keys.end(),
+                           static_cast<uint32_t>(lo)) -
+          keys.begin());
+      EXPECT_EQ(res.range_begin, want_begin) << "lo=" << lo << " hi=" << hi;
+      EXPECT_EQ(res.range_end, keys.size()) << "lo=" << lo << " hi=" << hi;
+      EXPECT_EQ(res.count, keys.size() - want_begin)
+          << "lo=" << lo << " hi=" << hi;
+    }
+  }
+}
+
+TEST(Server, AdviseOnPartitionedTableMatchesTheAdvisor) {
+  Server::Options options;
+  options.collect_stats = true;
+  Server server(options);
+  auto keys = workload::DistinctSortedKeys(20'000, 7, 4);
+  server.CreateTable("p", keys, *IndexSpec::Parse("part:8/css:16"));
+  server.Start();
+  Session session = server.OpenSession();
+  std::vector<uint32_t> model = keys;
+  ChurnOnce(session, "p", &model, 3, keys[100]);
+  server.Stop();
+  for (int i = 0; i < 40; ++i) {
+    std::vector<uint32_t> probe{model[static_cast<size_t>(i) * 400]};
+    ASSERT_TRUE(session.Execute(KeysStatement("FIND", "p", probe)).ok());
+  }
+  ASSERT_TRUE(session.Execute("RANGE p 100 9000").ok());
+
+  StatementResult res = session.Execute("ADVISE p");
+  ASSERT_EQ(res.status, StatementStatus::kOk) << res.error;
+  advisor::AdvisorOptions opts;
+  opts.key_width = sizeof(uint32_t);
+  advisor::Recommendation want =
+      advisor::Advise(server.TableWorkloadProfile("p"), model.size(), opts);
+  ASSERT_TRUE(want.ok) << want.error;
+  EXPECT_EQ(res.recommended_spec, want.spec.ToString());
+  EXPECT_EQ(res.advice, want.rationale);
+  EXPECT_EQ(server.TableSnapshot("p")->size(), model.size());
 }
 
 // ------------------------------------------------------------- the advisor
